@@ -204,6 +204,13 @@ def _walk_elements(n: int) -> tuple[Permutation, ...]:
     return tuple(walk)
 
 
+def _last_indices(n: int) -> np.ndarray:
+    """sigma(n) - 1 for each sigma along the plain-changes walk of S_n."""
+    elements = _walk_elements(n)
+    last = (sigma.images[-1] - 1 for sigma in elements)
+    return np.fromiter(last, dtype=np.intp, count=len(elements))
+
+
 def _column_action(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse form of right-multiplication by a generator matrix.
 
@@ -292,11 +299,7 @@ def fourier_standard_block(f: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector of length >= 2, got shape {arr.shape}")
     n = arr.shape[0]
     _check_cap(n)
-    elements = _walk_elements(n)
-    vals = np.fromiter(
-        (arr[sigma.images[-1] - 1] for sigma in elements), dtype=float, count=len(elements)
-    )
-    return _accumulate_fourier(vals, n - 1, _explicit_actions(n), n)
+    return _accumulate_fourier(arr[_last_indices(n)], n - 1, _explicit_actions(n), n)
 
 
 def stabilizer_projection(shape: Partition) -> np.ndarray:
@@ -310,7 +313,7 @@ def stabilizer_projection(shape: Partition) -> np.ndarray:
     _check_cap(n)
     if n == 1:
         return np.eye(1)
-    if shape == (n - 1, 1) and n >= 2:
+    if shape == (n - 1, 1):
         d = n - 1
         actions = _explicit_actions(n)
     else:
@@ -424,15 +427,10 @@ def derive_schur_constants(n: int) -> SchurReport:
     _check_cap(n)
     if n < 3:
         raise ValueError(f"scalar-block measurement needs n >= 3, got {n}")
-    elements = _walk_elements(n)
-    length = len(elements)
+    last = _last_indices(n)
     fmat = np.empty((n, n))
     for i in range(n):
-        basis = np.zeros(n)
-        basis[i] = 1.0
-        vals = np.fromiter(
-            (basis[sigma.images[-1] - 1] for sigma in elements), dtype=float, count=length
-        )
+        vals = (last == i).astype(float)
         fmat[0, i] = vals.sum()
         fmat[1:, i] = _accumulate_fourier(vals, n - 1, _explicit_actions(n), n)[:, 0]
     linking = fmat @ dense_transform(build_plan(n)).T

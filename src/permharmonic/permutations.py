@@ -79,14 +79,17 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def sign(self) -> int:
-        """+1 for even permutations, -1 for odd (parity of inversions)."""
-        inversions = sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.images[i] > self.images[j]
-        )
-        return -1 if inversions % 2 else 1
+        """+1 for even permutations, -1 for odd: the parity of n minus the cycle count, O(n)."""
+        seen = [False] * self.n
+        cycles = 0
+        for start in range(self.n):
+            if not seen[start]:
+                cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = self.images[i] - 1
+        return -1 if (self.n - cycles) % 2 else 1
 
     def apply_to_vector(self, x: Sequence | np.ndarray) -> np.ndarray:
         """Permute coordinates: returns y with y(i) = x(sigma(i)).

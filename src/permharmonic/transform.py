@@ -8,30 +8,38 @@ in O(n) with exactly 2n-2 multiplications and 2n-2 additions forward.
 
 Spectral index 0 carries the mean component; indices 1..n-1 carry the
 (n-1)-dimensional standard block, which reacts to permutations of the input
-through the orthogonal matrices in yor.py.
+through the orthogonal matrices D(sigma) of yor.py, the shift rule's
+reference; spectral_shift applies them in O(n) as inverse, gather, forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .counting import CountedScalar, OpCounter
 from .permutations import Permutation
-from .yor import standard_irrep_transpose_apply
 
 
 @dataclass(frozen=True, eq=False)
 class TransformPlan:
-    """Precomputed row scalings for one vector length.
+    """Precomputed row scalings and contrast coefficients for one vector length.
 
     alpha[0] = 1/sqrt(n); alpha[k-1] = 1/sqrt((n-k+1)(n-k+2)) for k >= 2.
-    The array is read-only; plans are cheap and reusable across calls.
+    coef holds the integer contrast coefficients 1, ..., n-1 as floats.
+    Both arrays are read-only; plans are cheap and reusable across calls.
     """
 
     n: int
     alpha: np.ndarray
+    coef: np.ndarray
+
+    @cached_property
+    def identity_images(self) -> tuple[int, ...]:
+        """The identity's one-line images, built on first use by spectral_shift."""
+        return tuple(range(1, self.n + 1))
 
 
 def build_plan(n: int) -> TransformPlan:
@@ -40,8 +48,10 @@ def build_plan(n: int) -> TransformPlan:
     k = np.arange(1, n + 1)
     alpha = 1.0 / np.sqrt((n - k + 1.0) * (n - k + 2.0))
     alpha[0] = 1.0 / np.sqrt(n)
+    coef = np.arange(1.0, n)
     alpha.setflags(write=False)
-    return TransformPlan(n=n, alpha=alpha)
+    coef.setflags(write=False)
+    return TransformPlan(n=n, alpha=alpha, coef=coef)
 
 
 def contrast_matrix(n: int) -> np.ndarray:
@@ -81,46 +91,48 @@ def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, T
 def transform(x: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
     """Forward transform in O(n): one cumulative sum, one comparison per row, scale.
 
+    Before scaling, index n-i (i = 1..n-1) is i * x[i] - (x[0] + ... + x[i-1]).
     Matches dense_transform(plan) @ x to rounding.  Real input gives real
     output; complex input is transformed componentwise.
     """
     arr, plan = _as_vector(x, plan)
-    n = plan.n
     s = np.cumsum(arr)
-    xhat = np.empty_like(arr)
-    xhat[0] = s[n - 1]
-    m = np.arange(2, n)
-    xhat[m - 1] = (n - m + 1) * arr[n - m + 1] - s[n - m]
-    xhat[n - 1] = arr[1] - s[0]
-    return plan.alpha * xhat
+    out = np.empty_like(arr)
+    out[0] = s[-1]
+    rows = out[:0:-1]
+    np.multiply(plan.coef, arr[1:], out=rows)
+    rows -= s[:-1]
+    out *= plan.alpha
+    return out
 
 
 def inverse_transform(X: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
-    """Inverse in O(n) via the transpose: scale, one cumulative sum, reassemble."""
+    """Inverse in O(n) via the transpose: scale, one cumulative sum, reassemble.
+
+    With b = alpha * X and c = cumsum(b): out[i] = 2 b[0] - c[n-1-i] + i b[n-i],
+    the last term absent at i = 0.
+    """
     spectrum, plan = _as_vector(X, plan)
-    n = plan.n
     b = plan.alpha * spectrum
-    cums = np.cumsum(b)
-    out = np.empty_like(b)
-    out[0] = 2.0 * b[0] - cums[n - 1]
-    j = np.arange(2, n)
-    out[j - 1] = 2.0 * b[0] - cums[n - j] + (j - 1) * b[n - j + 1]
-    out[n - 1] = b[0] + (n - 1) * b[1]
+    out = 2.0 * b[0] - np.cumsum(b)[::-1]
+    out[1:] += plan.coef * b[:0:-1]
     return out
 
 
 def spectral_shift(sigma: Permutation, X: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
-    """Spectrum of the permuted vector, computed without leaving the spectral side.
+    """Spectrum of the permuted vector: transform(sigma.apply_to_vector(inverse_transform(X))).
 
-    Index 0 is invariant; the standard block is hit by the transpose of
-    sigma's orthogonal matrix.  Cost O(n + word length): equals
-    transform(sigma.apply_to_vector(inverse_transform(X))) to rounding.
+    The transform is orthogonal, so this is the shift rule 1 (+) D(sigma)^t in
+    O(n); yor.standard_irrep_transpose_apply is its reference.  Index 0 is
+    copied from X, and the identity returns an exact copy.
     """
     spectrum, plan = _as_vector(X, plan)
     if sigma.n != plan.n:
         raise ValueError(f"permutation lives in S_{sigma.n}, vector has length {plan.n}")
-    out = spectrum.copy()
-    out[1:] = standard_irrep_transpose_apply(plan.n, sigma, spectrum[1:])
+    if sigma.images == plan.identity_images:
+        return spectrum.copy()
+    out = transform(sigma.apply_to_vector(inverse_transform(spectrum, plan)), plan)
+    out[0] = spectrum[0]
     return out
 
 
@@ -132,37 +144,22 @@ def transform_counted(
     The tally bills the scalar operation count of the O(n) schedule: n-1
     additions for the cumulative sum, one multiply and one subtract per row
     2..n-1, one subtract for row n (its integer coefficient is 1, so no
-    multiply), and n scaling multiplies.  Totals 2n-2 and 2n-2.  The kernels
-    run vectorized; transform_counted_scalarwise executes the identical
-    schedule one scalar at a time and must agree op for op.
+    multiply), and n scaling multiplies.  Totals 2n-2 and 2n-2.  The values
+    come from transform(), whose vector kernel also multiplies row n by the
+    exact 1.0; transform_counted_scalarwise executes the schedule one scalar
+    at a time and must agree op for op.
 
     The returned counts cover this call only; a shared counter keeps its
     running totals on top.
     """
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr):
+    if np.iscomplexobj(x):
         raise TypeError("counted transform is defined for real input only")
-    arr, plan = _as_vector(arr, plan)
-    counter = counter if counter is not None else OpCounter()
-    mult0, add0 = counter.mult, counter.add
-    n = plan.n
-
-    s = np.cumsum(arr)
-    counter.add += n - 1
-
-    xhat = np.empty_like(arr)
-    xhat[0] = s[n - 1]
-    m = np.arange(2, n)
-    xhat[m - 1] = (n - m + 1) * arr[n - m + 1] - s[n - m]
-    counter.mult += n - 2
-    counter.add += n - 2
-    xhat[n - 1] = arr[1] - s[0]
-    counter.add += 1
-
-    X = plan.alpha * xhat
-    counter.mult += n
-
-    return X, counter.mult - mult0, counter.add - add0
+    X = transform(x, plan)
+    ops = 2 * X.shape[0] - 2
+    if counter is not None:
+        counter.mult += ops
+        counter.add += ops
+    return X, ops, ops
 
 
 def transform_counted_scalarwise(

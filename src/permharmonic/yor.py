@@ -4,7 +4,9 @@ Generators are nearly-identity: the first adjacent transposition acts as
 diag(1, ..., 1, -1), and each later one mixes just two coordinates through a
 symmetric 2x2 block.  Arbitrary group elements are evaluated as generator
 products along an adjacent-transposition word, in the homomorphism order
-D(a * b) = D(a) D(b), which costs O(n) per letter.
+D(a * b) = D(a) D(b).  Words have up to n(n-1)/2 letters, so this module is
+the shift rule's reference: transform.spectral_shift applies 1 (+) D(sigma)^t
+in O(n) through the orthogonal transform and is tested against it.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ def standard_irrep(n: int, sigma: Permutation) -> np.ndarray:
 
 
 def standard_irrep_transpose_apply(n: int, sigma: Permutation, v: np.ndarray) -> np.ndarray:
-    """D(sigma)^t v without forming the matrix; O(n + word length).
+    """D(sigma)^t v without forming the matrix, one 2x2 block per letter.
 
     Generators are symmetric, so the transpose is the reversed generator
-    product applied left to right along the word.
+    product applied left to right along the word.  Building the word costs
+    Theta(n^2); this is the reference that transform.spectral_shift is
+    checked against, in the tests, the theorem suite and `shift --check`.
     """
     if sigma.n != n:
         raise ValueError(f"permutation lives in S_{sigma.n}, expected S_{n}")

@@ -5,9 +5,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from permharmonic import cli
 from permharmonic.cli import main
-from permharmonic.transform import build_plan, transform
+from permharmonic.transform import build_plan, spectral_shift, transform
 
 
 def run_cli(argv, capsys, monkeypatch, stdin=None):
@@ -88,6 +90,30 @@ def test_transform_rejects_garbage(capsys, monkeypatch):
     assert code == 2 and "error:" in err
 
 
+def test_transform_rejects_non_finite_input(capsys, monkeypatch):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            ["transform", "--format", fmt], capsys, monkeypatch, stdin="1 inf 2 3"
+        )
+        assert code == 2 and out == ""
+        assert "non-finite value 'inf' at index 1" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowed_output_is_refused_in_every_format(capsys, monkeypatch):
+    # finite input whose total overflows: no bare inf may reach any output
+    with pytest.raises(ValueError):
+        cli._to_json({"output": [math.inf]})
+    for argv in (["transform"], ["shift", "--perm", "2 1"]):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run_cli(
+                argv + ["--format", fmt], capsys, monkeypatch, stdin="1e308 1e308"
+            )
+            assert code == 2 and out == ""
+            assert "non-finite value inf at index 0" in err
+
+
 def test_shift_matches_library(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["shift", "--perm", "2 1 3", "--format", "csv"], capsys, monkeypatch, stdin="1 2 3"
@@ -119,6 +145,18 @@ def test_shift_check_json(capsys, monkeypatch):
     assert payload["perm"] == [2, 3, 1]
     assert payload["check_passed"] is True
     assert payload["check_deviation"] <= 1e-10
+
+
+def test_shift_check_fails_on_a_wrong_shift_rule(capsys, monkeypatch):
+    # the check's reference is the Young word product, not the fast path
+    monkeypatch.setattr(
+        cli, "spectral_shift", lambda sigma, X, plan: spectral_shift(sigma.inverse(), X, plan)
+    )
+    code, out, _ = run_cli(
+        ["shift", "--perm", "3 1 4 2", "--check"], capsys, monkeypatch, stdin="1 2 3 4"
+    )
+    assert code == 1
+    assert "[FAIL]" in out
 
 
 def test_shift_rejects_bad_permutations(capsys, monkeypatch):
@@ -219,6 +257,16 @@ def test_oracle_input_file(tmp_path, capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["n"] == 5 and payload["input"] == str(src)
     assert payload["violations"] == []
+
+
+def test_oracle_all_zero_input_passes(tmp_path, capsys, monkeypatch):
+    # bound is 0 here, and every coefficient is exactly 0
+    src = tmp_path / "zeros.txt"
+    src.write_text("0 0 0 0")
+    code, out, _ = run_cli(["oracle", "--input", str(src)], capsys, monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bound"] == 0 and payload["violations"] == []
 
 
 def test_oracle_text_format(capsys, monkeypatch):

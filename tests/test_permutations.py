@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ def test_sign_matches_word_length_parity():
     for _ in range(100):
         sigma = random_permutation(int(rng.integers(1, 9)), rng)
         assert sigma.sign() == (-1) ** len(sigma.decompose_adjacent())
+
+
+def test_sign_is_linear_time_at_large_n():
+    n = 20000
+    sigma = random_permutation(n, np.random.default_rng(4))
+    started = time.perf_counter()
+    sign = sigma.sign()
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"sign() took {elapsed:.3f}s at n={n}, budget 1s"
+    # one more adjacent transposition flips the parity
+    assert compose(sigma, adjacent_transposition(n, 7)).sign() == -sign
 
 
 def test_enumerate_group_sizes_and_order():

@@ -21,6 +21,7 @@ from permharmonic.transform import (
     spectral_shift,
     transform,
 )
+from permharmonic.yor import standard_irrep
 
 vectors = st.integers(2, 40).flatmap(
     lambda n: st.lists(
@@ -161,6 +162,25 @@ def test_equivariance_random_larger_n():
             lhs = transform(sigma.apply_to_vector(x), plan)
             rhs = spectral_shift(sigma, transform(x, plan), plan)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def test_shift_matches_young_word_product():
+    # the O(n) shift goes through the transform; D(sigma) comes from generator words
+    rng = np.random.default_rng(8)
+
+    def deviation(sigma, n):
+        spectrum = rng.uniform(-1, 1, n)
+        shifted = spectral_shift(sigma, spectrum)
+        assert shifted[0] == spectrum[0]
+        return np.max(np.abs(shifted[1:] - standard_irrep(n, sigma).T @ spectrum[1:]))
+
+    for n in range(2, 6):
+        for sigma in enumerate_group(n):
+            assert deviation(sigma, n) <= 1e-10, (n, sigma)
+    for n in range(6, 13):
+        for _ in range(50):
+            sigma = random_permutation(n, rng)
+            assert deviation(sigma, n) <= 1e-10, (n, sigma)
 
 
 def test_shift_composition_convention():
