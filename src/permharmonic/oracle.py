@@ -7,10 +7,12 @@ standard tableaux and axial distances, computes full Fourier coefficient
 blocks, the stabilizer-average projection, and the scalar constants tying the
 full-group coefficients to the O(n) transform.
 
-Group sums walk the elements in plain-changes order (each element is the
-previous one right-composed with a single adjacent transposition), so a
-representation matrix is carried along with one sparse column update per
-element and no n!-sized tables are ever materialized.
+Every group sum splits S_n into the cosets c_j S_{n-1}, where c_j sends n
+to j, and multiplies each coset's partial sum over S_{n-1} by D(c_j) with
+sparse generator updates.  The partial sums come from one plain-changes walk
+of S_{n-1}, or, for lifted vectors (constant on each coset), from the sum of
+D over S_{n-1}, built the same way one level at a time.  Each element is
+counted exactly once, and nothing of size n! outlives a call.
 
 Work and cap both scale factorially; the cap from permutations.oracle_cap
 applies to every operation that touches the whole group.
@@ -19,7 +21,7 @@ applies to every operation that touches the whole group.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,10 +29,10 @@ import numpy as np
 
 from .permutations import OracleCapExceeded, Permutation, compose, oracle_cap
 from .transform import build_plan, dense_transform
-from .yor import standard_irrep_generator
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
+Action = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _check_cap(n: int) -> None:
@@ -193,64 +195,52 @@ def _plain_changes(n: int) -> tuple[int, ...]:
             direction[v] = -direction[v]
 
 
-@lru_cache(maxsize=None)
-def _walk_elements(n: int) -> tuple[Permutation, ...]:
-    """All of S_n in plain-changes order, starting at the identity."""
-    images = list(range(1, n + 1))
-    walk = [Permutation(tuple(images))]
-    for k in _plain_changes(n):
-        images[k - 1], images[k] = images[k], images[k - 1]
-        walk.append(Permutation(tuple(images)))
-    return tuple(walk)
-
-
-def _last_indices(n: int) -> np.ndarray:
-    """sigma(n) - 1 for each sigma along the plain-changes walk of S_n."""
-    elements = _walk_elements(n)
-    last = (sigma.images[-1] - 1 for sigma in elements)
-    return np.fromiter(last, dtype=np.intp, count=len(elements))
-
-
-def _column_action(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _column_action(gen: np.ndarray) -> Action:
     """Sparse form of right-multiplication by a generator matrix.
 
     Every generator column holds its diagonal entry plus at most one
-    off-diagonal partner, so M @ G is diag*M plus off*M at paired columns.
+    off-diagonal partner, so M @ G is diag*M plus off*M at paired columns;
+    generators are symmetric, so the same arrays give G @ M on rows.
     """
-    d = gen.shape[0]
     diag = np.diag(gen).copy()
-    pair = np.arange(d)
-    off = np.zeros(d)
-    rows, cols = np.nonzero(gen)
-    for i, j in zip(rows, cols):
-        if i != j:
-            pair[j] = i
-            off[j] = gen[i, j]
-    return diag, pair, off
+    offdiag = gen - np.diag(diag)
+    pair = np.argmax(offdiag != 0, axis=0)  # row 0, with weight 0, where unpaired
+    return diag, pair, offdiag[pair, np.arange(len(diag))]
 
 
 @lru_cache(maxsize=None)
-def _general_actions(shape: Partition) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _general_actions(shape: Partition) -> tuple[Action, ...]:
     n = validate_partition(shape)
     return tuple(_column_action(yor_generator(shape, k)) for k in range(1, n))
 
 
-@lru_cache(maxsize=None)
-def _explicit_actions(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    return tuple(_column_action(standard_irrep_generator(n, k)) for k in range(1, n))
+def _fold(inner: np.ndarray, actions: tuple[Action, ...]) -> np.ndarray:
+    """D(c_j) @ inner[j-1] for j = 1..m, stacked; c_j = tau_j ... tau_{m-1} sends m to j.
 
-
-def _accumulate_fourier(
-    vals: np.ndarray, d: int, actions: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], n: int
-) -> np.ndarray:
-    """Sum of vals[i] * D(walk[i]) along the plain-changes walk of S_n."""
-    mat = np.eye(d)
-    total = vals[0] * mat
-    for v, k in zip(vals[1:], _plain_changes(n)):
+    S_m is the disjoint union of the cosets c_j S_{m-1}, so when inner[j-1]
+    is the sum of f(c_j delta) D(delta) over delta in S_{m-1}, the result
+    holds the sum of f(sigma) D(sigma) over each coset.  D(c_j) is applied
+    as m - j generator row actions, innermost (tau_{m-1}) first.
+    """
+    out = np.array(inner, dtype=float)
+    for k in range(len(out) - 1, 0, -1):
         diag, pair, off = actions[k - 1]
-        mat = mat * diag + mat[:, pair] * off
-        total += v * mat
-    return total
+        out[:k] = diag[:, None] * out[:k] + off[:, None] * out[:k, pair]
+    return out
+
+
+def _coset_sums(shape: Partition) -> np.ndarray:
+    """Sum of D(shape, sigma) over {sigma : sigma(n) = j}, stacked for j = 1..n.
+
+    Built one level at a time: the sum over S_m is the sum of the stack that
+    _fold makes from m copies of the sum over S_{m-1}.
+    """
+    n = validate_partition(shape)
+    actions = _general_actions(shape)
+    sums = np.eye(len(standard_tableaux(shape)))[None]
+    for m in range(2, n + 1):
+        sums = _fold(np.broadcast_to(sums.sum(axis=0), (m,) + sums.shape[1:]), actions)
+    return sums
 
 
 def lift(f: np.ndarray) -> Callable[[Permutation], float]:
@@ -272,62 +262,68 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
     return lifted
 
 
+def _coset_walk(n: int, j: int) -> Iterator[Permutation]:
+    """The coset c_j S_{n-1}, as c_j times the plain-changes walk of S_{n-1}."""
+    images = [*range(1, j), *range(j + 1, n + 1), j]
+    yield Permutation(tuple(images))
+    for k in _plain_changes(n - 1):
+        images[k - 1], images[k] = images[k], images[k - 1]
+        yield Permutation(tuple(images))
+
+
 def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition, np.ndarray]:
     """Fourier coefficients sum_sigma func(sigma) * D(shape, sigma), every shape.
 
-    Naive n!-term sums; cost O(n! * sum of squared dimensions).
+    All n! terms: one plain-changes walk of S_{n-1} carries D(delta) and a
+    partial sum per coset c_j S_{n-1}.  Cost O(n! * sum of squared dimensions).
     """
     _check_cap(n)
-    elements = _walk_elements(n)
-    vals = np.fromiter((func(sigma) for sigma in elements), dtype=float, count=len(elements))
+    cosets = [[func(sigma) for sigma in _coset_walk(n, j)] for j in range(1, n + 1)]
+    vals = np.array(cosets, dtype=float)
     out: dict[Partition, np.ndarray] = {}
     for shape in enumerate_partitions(n):
-        d = len(standard_tableaux(shape))
-        out[shape] = _accumulate_fourier(vals, d, _general_actions(shape), n)
+        actions = _general_actions(shape)
+        mat = np.eye(len(standard_tableaux(shape)))
+        partial = np.multiply.outer(vals[:, 0], mat)
+        for t, k in enumerate(_plain_changes(n - 1), 1):
+            diag, pair, off = actions[k - 1]
+            mat = mat * diag + mat[:, pair] * off
+            partial += np.multiply.outer(vals[:, t], mat)
+        out[shape] = _fold(partial, actions).sum(axis=0)
     return out
+
+
+def _lifted_input(f: np.ndarray) -> np.ndarray:
+    arr = np.asarray(f, dtype=float)
+    if arr.ndim != 1 or arr.shape[0] < 2:
+        raise ValueError(f"expected a 1-D vector of length >= 2, got shape {arr.shape}")
+    _check_cap(arr.shape[0])
+    return arr
 
 
 def fourier_standard_block(f: np.ndarray) -> np.ndarray:
     """Coefficient block of the lifted f at shape (n-1,1), in the explicit basis.
 
-    Uses the production generators from yor.py rather than the tableau
-    construction, because column structure (unlike vanishing) depends on the
-    basis.  The two agree here, but the contract is with the explicit one.
+    lift(f) is f[j-1] on the whole coset {sigma : sigma(n) = j}, so the block
+    is sum_j f[j-1] times that coset's sum of D.  Column structure (unlike
+    vanishing) depends on the basis; the tableau generators at (n-1,1) are
+    bitwise those of yor.py, so this is the explicit basis.
     """
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValueError(f"expected a 1-D vector of length >= 2, got shape {arr.shape}")
-    n = arr.shape[0]
-    _check_cap(n)
-    return _accumulate_fourier(arr[_last_indices(n)], n - 1, _explicit_actions(n), n)
+    arr = _lifted_input(f)
+    return np.tensordot(arr, _coset_sums((arr.shape[0] - 1, 1)), axes=1)
 
 
 def stabilizer_projection(shape: Partition) -> np.ndarray:
     """Average of D(shape, delta)^t over the subgroup fixing n.
 
-    Idempotent.  For shape (n-1,1) the average is computed in the explicit
-    basis of yor.py, where it has a single unit entry at (1,1); for shapes
-    other than (n) and (n-1,1) it vanishes outright, in any basis.
+    Idempotent.  For shape (n-1,1), in the explicit basis of yor.py, it has a
+    single unit entry at (1,1); for shapes other than (n) and (n-1,1) it
+    vanishes outright, in any basis.
     """
     n = validate_partition(shape)
     _check_cap(n)
-    if n == 1:
-        return np.eye(1)
-    if shape == (n - 1, 1):
-        d = n - 1
-        actions = _explicit_actions(n)
-    else:
-        d = len(standard_tableaux(shape))
-        actions = _general_actions(shape)
-    # The subgroup fixing n is generated by tau_1..tau_{n-2}; walking S_{n-1}
-    # in plain-changes order reuses the same generator indices.
-    mat = np.eye(d)
-    total = np.eye(d)
-    for k in _plain_changes(n - 1):
-        diag, pair, off = actions[k - 1]
-        mat = mat * diag + mat[:, pair] * off
-        total += mat
-    return total.T / math.factorial(n - 1)
+    # c_n is the identity, so the last coset sum is the sum over S_{n-1}.
+    return _coset_sums(shape)[-1].T / math.factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -350,19 +346,17 @@ class BandlimitReport:
 
 def verify_bandlimit(f: np.ndarray) -> BandlimitReport:
     """Check that lift(f)'s spectrum lives entirely in (n) and (n-1,1)."""
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValueError(f"expected a 1-D vector of length >= 2, got shape {arr.shape}")
+    arr = _lifted_input(f)
     n = arr.shape[0]
-    _check_cap(n)
-    coeffs = fourier_full(lift(arr), n)
-    bound = 1e-9 * math.factorial(n) * float(np.max(np.abs(arr))) if arr.size else 0.0
+    coeffs = {
+        shape: np.tensordot(arr, _coset_sums(shape), axes=1) for shape in enumerate_partitions(n)
+    }
+    bound = 1e-9 * math.factorial(n) * float(np.max(np.abs(arr)))
     block_norms = {shape: float(np.max(np.abs(block))) for shape, block in coeffs.items()}
     kept = {(n,), (n - 1, 1)}
     off_band = [norm for shape, norm in block_norms.items() if shape not in kept]
     off_band_max = max(off_band, default=0.0)
-    standard_block = fourier_standard_block(arr)
-    tail_max = float(np.max(np.abs(standard_block[:, 1:]))) if n > 2 else 0.0
+    tail_max = float(np.max(np.abs(coeffs[(n - 1, 1)][:, 1:]))) if n > 2 else 0.0
     passed = off_band_max <= bound and tail_max <= bound
     return BandlimitReport(
         n=n,
@@ -388,7 +382,6 @@ def verify_translation(
     func: Callable[[Permutation], float], delta: Permutation, n: int, tol: float = 1e-9
 ) -> TranslationReport:
     """Check the shift rule: g = func(delta . sigma) has G = D(delta)^t F blockwise."""
-    _check_cap(n)
     if delta.n != n:
         raise ValueError(f"shift permutation lives in S_{delta.n}, expected S_{n}")
     coeffs = fourier_full(func, n)
@@ -427,12 +420,10 @@ def derive_schur_constants(n: int) -> SchurReport:
     _check_cap(n)
     if n < 3:
         raise ValueError(f"scalar-block measurement needs n >= 3, got {n}")
-    last = _last_indices(n)
+    # Column i: leftmost columns of the kept coefficients of the indicator of i+1.
     fmat = np.empty((n, n))
-    for i in range(n):
-        vals = (last == i).astype(float)
-        fmat[0, i] = vals.sum()
-        fmat[1:, i] = _accumulate_fourier(vals, n - 1, _explicit_actions(n), n)[:, 0]
+    fmat[0] = _coset_sums((n,))[:, 0, 0]
+    fmat[1:] = _coset_sums((n - 1, 1))[:, :, 0].T
     linking = fmat @ dense_transform(build_plan(n)).T
     diag = np.diag(linking)
     lambda1 = float(diag[0])

@@ -159,6 +159,33 @@ def test_shift_check_fails_on_a_wrong_shift_rule(capsys, monkeypatch):
     assert "[FAIL]" in out
 
 
+def test_quadratic_references_are_refused_above_their_limits(capsys, monkeypatch):
+    # shift --check allows n <= 4096; orthogonality and theorem allow n <= 256.
+    # The refusal comes before any transform or suite runs.
+    monkeypatch.setattr(cli, "transform", lambda *args: pytest.fail("transform ran"))
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("suite ran"))
+    perm = " ".join(str(v) for v in range(4097, 0, -1))
+    code, out, err = run_cli(
+        ["shift", "--perm", perm, "--check"], capsys, monkeypatch, stdin="1 " * 4097
+    )
+    assert code == 2 and out == "" and "n <= 4096" in err
+    for suite in ("orthogonality", "theorem"):
+        code, out, err = run_cli(["verify", "--suite", suite, "--n", "257"], capsys, monkeypatch)
+        assert code == 2 and out == "" and "n <= 256" in err, suite
+
+
+def test_shift_check_stays_allowed_at_n_256(capsys, monkeypatch):
+    rng = np.random.default_rng(14)
+    perm = " ".join(str(v + 1) for v in rng.permutation(256))
+    code, out, _ = run_cli(
+        ["shift", "--perm", perm, "--check", "--format", "json"],
+        capsys,
+        monkeypatch,
+        stdin=" ".join(str(v) for v in rng.uniform(-1.0, 1.0, 256)),
+    )
+    assert code == 0 and json.loads(out)["check_passed"] is True
+
+
 def test_shift_rejects_bad_permutations(capsys, monkeypatch):
     code, _, err = run_cli(
         ["shift", "--perm", "2 2 3"], capsys, monkeypatch, stdin="1 2 3"

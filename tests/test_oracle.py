@@ -1,8 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from permharmonic import oracle
 from permharmonic.oracle import (
     derive_schur_constants,
     enumerate_partitions,
@@ -109,8 +111,9 @@ def test_plancherel_dimension_sum():
 
 def test_yor_generator_matches_explicit_basis_bitwise():
     # The tableau enumeration order was chosen so the general construction at
-    # (n-1,1) lands exactly on the explicit generator matrices.
-    for n in range(2, 8):
+    # (n-1,1) lands exactly on the explicit generator matrices; the oracle's
+    # explicit-basis results rely on it.
+    for n in range(2, 13):
         for k in range(1, n):
             assert np.array_equal(
                 yor_generator((n - 1, 1), k), standard_irrep_generator(n, k)
@@ -197,15 +200,44 @@ def test_fourier_full_trivial_inputs():
 
 
 def test_fourier_full_matches_elementwise_sum():
-    # dual route: streaming walk vs a direct sum over lexicographic elements
+    # dual route: coset-factorised walk vs a direct sum over lexicographic elements
     rng = np.random.default_rng(2)
-    for n in (3, 4):
+    for n in (3, 4, 5):
         values = {sigma: float(rng.uniform(-1, 1)) for sigma in enumerate_group(n)}
         func = values.__getitem__
         streamed = fourier_full(func, n)
         for shape in enumerate_partitions(n):
             direct = sum(values[s] * yor_matrix(shape, s) for s in enumerate_group(n))
             assert np.max(np.abs(streamed[shape] - direct)) <= 1e-12
+
+
+def test_lifted_sums_match_elementwise_sums():
+    # the coset sums behind every lifted computation, against direct sums of
+    # yor_matrix over the lexicographic enumeration
+    rng = np.random.default_rng(12)
+    for n in (3, 4, 5):
+        f = rng.uniform(-1, 1, n)
+        band = verify_bandlimit(f)
+        for shape in enumerate_partitions(n):
+            mats = {sigma: yor_matrix(shape, sigma) for sigma in enumerate_group(n)}
+            lifted = sum(f[sigma(n) - 1] * mat for sigma, mat in mats.items())
+            assert np.max(np.abs(np.tensordot(f, oracle._coset_sums(shape), 1) - lifted)) <= 1e-12
+            assert abs(band.block_norms[shape] - np.max(np.abs(lifted))) <= 1e-12
+            if shape == (n - 1, 1):
+                assert np.max(np.abs(fourier_standard_block(f) - lifted)) <= 1e-12
+            fixing_n = [mat.T for sigma, mat in mats.items() if sigma(n) == n]
+            projection = sum(fixing_n) / math.factorial(n - 1)
+            assert np.max(np.abs(stabilizer_projection(shape) - projection)) <= 1e-14
+
+
+def test_oracle_retains_no_group_elements(monkeypatch):
+    # group sums at the default cap leave no n!-sized table behind
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+    verify_bandlimit(np.random.default_rng(13).uniform(-1, 1, 8))
+    derive_schur_constants(8)
+    gc.collect()
+    live = sum(isinstance(obj, Permutation) for obj in gc.get_objects())
+    assert live < 100, live
 
 
 def test_fourier_standard_block_matches_general_basis():
