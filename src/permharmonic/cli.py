@@ -199,8 +199,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     if n < 2:
         raise CliError(f"verification needs n >= 2, got {n}")
-    if suite == "coxeter" and n > 64:
-        raise CliError(f"coxeter suite supports n <= 64, got {n}")
     if suite in ("orthogonality", "theorem", "all") and n > _QUADRATIC_SUITE_MAX_N:
         raise CliError(f"suite {suite!r} supports n <= {_QUADRATIC_SUITE_MAX_N}, got {n}")
     if suite in ("prop1", "schur", "all") and n > oracle_cap():

@@ -7,12 +7,16 @@ standard tableaux and axial distances, computes full Fourier coefficient
 blocks, the stabilizer-average projection, and the scalar constants tying the
 full-group coefficients to the O(n) transform.
 
-Every group sum splits S_n into the cosets c_j S_{n-1}, where c_j sends n
-to j, and multiplies each coset's partial sum over S_{n-1} by D(c_j) with
-sparse generator updates.  The partial sums come from one plain-changes walk
-of S_{n-1}, or, for lifted vectors (constant on each coset), from the sum of
-D over S_{n-1}, built the same way one level at a time.  Each element is
-counted exactly once, and nothing of size n! outlives a call.
+Every group sum splits S_m into the cosets c_j S_{m-1}, where c_j sends m
+to j, and multiplies each coset's partial sum over S_{m-1} by D(c_j) with
+sparse generator updates.  The tableau basis is adapted to S_{m-1} < S_m:
+restricted to S_{m-1}, D(shape) is block diagonal over the shapes left by
+removing one corner, so each coset's partial sum is the block diagonal of
+group sums one level down, and every sum recurses down the shape's
+down-set.  fourier_full recurses on the values of its function; lifted
+vectors (constant on each coset) need only the sum of D over S_{m-1}, which
+depends on the shape alone and is cached.  Each element is counted exactly
+once, and nothing of size n! outlives a call.
 
 Work and cap both scale factorially; the cap from permutations.oracle_cap
 applies to every operation that touches the whole group.
@@ -20,8 +24,9 @@ applies to every operation that touches the whole group.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,22 +76,31 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return out
 
 
+def _removals(shape: Partition) -> list[tuple[int, Partition]]:
+    """(row, shape less that row's last box) per removable corner, lowest row first."""
+    out = []
+    for r in range(len(shape) - 1, -1, -1):
+        if r + 1 < len(shape) and shape[r] == shape[r + 1]:
+            continue
+        reduced = shape[:r] + (shape[r] - 1,) + shape[r + 1 :]
+        out.append((r, reduced if reduced[r] else reduced[:r]))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tableaux(shape: Partition) -> tuple[Tableau, ...]:
     if not shape:
         return ((),)
     n = sum(shape)
     out: list[Tableau] = []
-    # The largest value must sit in a removable corner.  Taking corners from
-    # the lowest row upward fixes the enumeration order; for shape (n-1,1)
-    # this lists the tableau with n in the second row first, which is exactly
-    # the basis order the explicit generators in yor.py assume.
-    for r in range(len(shape) - 1, -1, -1):
-        if r + 1 < len(shape) and shape[r] == shape[r + 1]:
-            continue
-        reduced = shape[:r] + (shape[r] - 1,) + shape[r + 1 :]
-        if reduced[r] == 0:
-            reduced = reduced[:r]
+    # The largest value must sit in a removable corner.  Taking the corners
+    # in _removals order (lowest row first) makes the tableaux of each reduced
+    # shape one contiguous block, so the generators of S_{n-1} are block
+    # diagonal over the reduced shapes in that order: the group-sum recursion
+    # relies on it.  For shape (n-1,1) this lists the tableau with n in the
+    # second row first, which is exactly the basis order the explicit
+    # generators in yor.py assume.
+    for r, reduced in _removals(shape):
         for t in _tableaux(reduced):
             if len(t) > r:
                 out.append(t[:r] + (t[r] + (n,),) + t[r + 1 :])
@@ -165,42 +179,12 @@ def yor_matrix(shape: Partition, sigma: Permutation) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _plain_changes(n: int) -> tuple[int, ...]:
-    """Adjacent-swap schedule visiting all n! arrangements exactly once.
+def _row_action(gen: np.ndarray) -> Action:
+    """Sparse form of left-multiplication by a generator matrix.
 
-    Entry k means: swap positions k, k+1 (1-based) of the current one-line
-    images, i.e. right-compose with tau_k.  Steinhaus-Johnson-Trotter with
-    directed elements.
-    """
-    if n <= 1:
-        return ()
-    perm = list(range(n))
-    direction = [-1] * n
-    swaps: list[int] = []
-    while True:
-        largest = -1
-        pos = -1
-        for i, v in enumerate(perm):
-            j = i + direction[v]
-            if 0 <= j < n and perm[j] < v and v > largest:
-                largest = v
-                pos = i
-        if largest < 0:
-            return tuple(swaps)
-        j = pos + direction[largest]
-        perm[pos], perm[j] = perm[j], perm[pos]
-        swaps.append(min(pos, j) + 1)
-        for v in range(largest + 1, n):
-            direction[v] = -direction[v]
-
-
-def _column_action(gen: np.ndarray) -> Action:
-    """Sparse form of right-multiplication by a generator matrix.
-
-    Every generator column holds its diagonal entry plus at most one
-    off-diagonal partner, so M @ G is diag*M plus off*M at paired columns;
-    generators are symmetric, so the same arrays give G @ M on rows.
+    Every generator row holds its diagonal entry plus at most one
+    off-diagonal partner, so G @ M is diag*M plus off*M at paired rows;
+    generators are symmetric, so the partners are read off the columns.
     """
     diag = np.diag(gen).copy()
     offdiag = gen - np.diag(diag)
@@ -211,36 +195,56 @@ def _column_action(gen: np.ndarray) -> Action:
 @lru_cache(maxsize=None)
 def _general_actions(shape: Partition) -> tuple[Action, ...]:
     n = validate_partition(shape)
-    return tuple(_column_action(yor_generator(shape, k)) for k in range(1, n))
+    return tuple(_row_action(yor_generator(shape, k)) for k in range(1, n))
 
 
 def _fold(inner: np.ndarray, actions: tuple[Action, ...]) -> np.ndarray:
-    """D(c_j) @ inner[j-1] for j = 1..m, stacked; c_j = tau_j ... tau_{m-1} sends m to j.
+    """D(c_j) @ inner[..., j-1, :, :] for j = 1..m; c_j = tau_j ... tau_{m-1} sends m to j.
 
-    S_m is the disjoint union of the cosets c_j S_{m-1}, so when inner[j-1]
-    is the sum of f(c_j delta) D(delta) over delta in S_{m-1}, the result
-    holds the sum of f(sigma) D(sigma) over each coset.  D(c_j) is applied
-    as m - j generator row actions, innermost (tau_{m-1}) first.
+    S_m is the disjoint union of the cosets c_j S_{m-1}, so when
+    inner[..., j-1, :, :] is the sum of f(c_j delta) D(delta) over delta in
+    S_{m-1}, the result holds the sum of f(sigma) D(sigma) over each coset.
+    D(c_j) is applied as m - j generator row actions, innermost (tau_{m-1})
+    first.  Axes before the coset axis are batch axes.
     """
     out = np.array(inner, dtype=float)
-    for k in range(len(out) - 1, 0, -1):
+    for k in range(out.shape[-3] - 1, 0, -1):
         diag, pair, off = actions[k - 1]
-        out[:k] = diag[:, None] * out[:k] + off[:, None] * out[:k, pair]
+        head = out[..., :k, :, :]
+        head[...] = diag[:, None] * head + off[:, None] * head[..., pair, :]
     return out
 
 
-def _coset_sums(shape: Partition) -> np.ndarray:
-    """Sum of D(shape, sigma) over {sigma : sigma(n) = j}, stacked for j = 1..n.
+def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
+    """Per-coset sums over S_m, from one group sum over S_{m-1} per corner removal.
 
-    Built one level at a time: the sum over S_m is the sum of the stack that
-    _fold makes from m copies of the sum over S_{m-1}.
+    sums[i] belongs to the i-th shape of _removals(shape) and carries the
+    coset axis j last among its leading axes, or is broadcast along it.
+    Their block diagonal is D(shape) summed over S_{m-1}, which _fold
+    carries to each coset c_j S_{m-1}.
     """
-    n = validate_partition(shape)
-    actions = _general_actions(shape)
-    sums = np.eye(len(standard_tableaux(shape)))[None]
-    for m in range(2, n + 1):
-        sums = _fold(np.broadcast_to(sums.sum(axis=0), (m,) + sums.shape[1:]), actions)
-    return sums
+    m = sum(shape)
+    d = len(_tableaux(shape))
+    out = np.zeros(np.broadcast_shapes((m,), *(s.shape[:-2] for s in sums)) + (d, d))
+    start = 0
+    for s in sums:
+        stop = start + s.shape[-1]
+        out[..., start:stop, start:stop] = s
+        start = stop
+    return _fold(out, _general_actions(shape))
+
+
+@lru_cache(maxsize=None)
+def _group_sum(shape: Partition) -> np.ndarray:
+    """Sum of D(shape, sigma) over all of S_m, read-only; [[1]] for the empty shape."""
+    total = _coset_sums(shape).sum(axis=0) if shape else np.ones((1, 1))
+    total.setflags(write=False)
+    return total
+
+
+def _coset_sums(shape: Partition) -> np.ndarray:
+    """Sum of D(shape, sigma) over {sigma : sigma(m) = j}, stacked for j = 1..m."""
+    return _coset_stack(shape, [_group_sum(mu) for _, mu in _removals(shape)])
 
 
 def lift(f: np.ndarray) -> Callable[[Permutation], float]:
@@ -262,35 +266,25 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
     return lifted
 
 
-def _coset_walk(n: int, j: int) -> Iterator[Permutation]:
-    """The coset c_j S_{n-1}, as c_j times the plain-changes walk of S_{n-1}."""
-    images = [*range(1, j), *range(j + 1, n + 1), j]
-    yield Permutation(tuple(images))
-    for k in _plain_changes(n - 1):
-        images[k - 1], images[k] = images[k], images[k - 1]
-        yield Permutation(tuple(images))
-
-
 def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition, np.ndarray]:
     """Fourier coefficients sum_sigma func(sigma) * D(shape, sigma), every shape.
 
-    All n! terms: one plain-changes walk of S_{n-1} carries D(delta) and a
-    partial sum per coset c_j S_{n-1}.  Cost O(n! * sum of squared dimensions).
+    All n! terms, each read once.  sigma = c_{j_n} ... c_{j_2}, with c_{j_m}
+    in S_m sending m to j_m, is read in lexicographic order of (j_n, ...,
+    j_2), which is that of sigma's images read from n down to 1.  For
+    m = 1..n, the sums over S_m at every shape of m are formed for each
+    choice of the outer cosets j_n..j_{m+1}, from those at the shape's
+    corner removals one level down.  Cost O(n! * n^3).
     """
     _check_cap(n)
-    cosets = [[func(sigma) for sigma in _coset_walk(n, j)] for j in range(1, n + 1)]
-    vals = np.array(cosets, dtype=float)
-    out: dict[Partition, np.ndarray] = {}
-    for shape in enumerate_partitions(n):
-        actions = _general_actions(shape)
-        mat = np.eye(len(standard_tableaux(shape)))
-        partial = np.multiply.outer(vals[:, 0], mat)
-        for t, k in enumerate(_plain_changes(n - 1), 1):
-            diag, pair, off = actions[k - 1]
-            mat = mat * diag + mat[:, pair] * off
-            partial += np.multiply.outer(vals[:, t], mat)
-        out[shape] = _fold(partial, actions).sum(axis=0)
-    return out
+    values = [func(Permutation(w[::-1])) for w in itertools.permutations(range(1, n + 1))]
+    sums = {(): np.array(values, dtype=float).reshape(tuple(range(n, 0, -1)) + (1, 1))}
+    for m in range(1, n + 1):
+        sums = {
+            shape: _coset_stack(shape, [sums[mu] for _, mu in _removals(shape)]).sum(axis=-3)
+            for shape in enumerate_partitions(m)
+        }
+    return sums
 
 
 def _lifted_input(f: np.ndarray) -> np.ndarray:

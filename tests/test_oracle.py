@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,34 @@ def test_yor_generator_matches_explicit_basis_bitwise():
             ), (n, k)
 
 
+def _corner_removals(shape):
+    # lowest row first, written out here independently of the oracle
+    out = []
+    for r in range(len(shape) - 1, -1, -1):
+        if r == len(shape) - 1 or shape[r] > shape[r + 1]:
+            reduced = list(shape)
+            reduced[r] -= 1
+            out.append(tuple(part for part in reduced if part))
+    return out
+
+
+def test_yor_generators_are_block_diagonal_over_corner_removals():
+    # the premise of the oracle's group-sum recursion: restricted to S_{n-1},
+    # the tableau basis splits into the corner removals' bases, in this order
+    for n in range(2, 9):
+        for shape in enumerate_partitions(n):
+            for k in range(1, n - 1):
+                gen = yor_generator(shape, k)
+                want = np.zeros_like(gen)
+                start = 0
+                for mu in _corner_removals(shape):
+                    block = yor_generator(mu, k)
+                    stop = start + len(block)
+                    want[start:stop, start:stop] = block
+                    start = stop
+                assert start == len(gen) and np.array_equal(gen, want), (shape, k)
+
+
 def test_yor_character_match_on_standard_shape():
     # basis-independent cross-check: equal traces on all of S_4
     for sigma in enumerate_group(4):
@@ -200,9 +229,9 @@ def test_fourier_full_trivial_inputs():
 
 
 def test_fourier_full_matches_elementwise_sum():
-    # dual route: coset-factorised walk vs a direct sum over lexicographic elements
+    # dual route: coset recursion vs a direct sum over lexicographic elements
     rng = np.random.default_rng(2)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         values = {sigma: float(rng.uniform(-1, 1)) for sigma in enumerate_group(n)}
         func = values.__getitem__
         streamed = fourier_full(func, n)
@@ -327,6 +356,18 @@ def test_translation_generator_shift():
     report = verify_translation(values.__getitem__, adjacent_transposition(n, 2), n)
     assert report.passed
     assert report.max_deviation <= 1e-10
+
+
+def test_translation_at_the_cap_runs_within_budget(monkeypatch):
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+    rng = np.random.default_rng(14)
+    func = lift(rng.uniform(-1, 1, 8))
+    delta = random_permutation(8, rng)
+    started = time.perf_counter()
+    report = verify_translation(func, delta, 8)
+    elapsed = time.perf_counter() - started
+    assert report.passed
+    assert elapsed < 1.5, f"verify_translation took {elapsed:.3f}s at n=8, budget 1.5s"
 
 
 def test_translation_composition_convention():
