@@ -51,8 +51,8 @@ def standard_irrep_generator(n: int, k: int) -> np.ndarray:
     return mat
 
 
-def _left_apply_generator(n: int, k: int, target: np.ndarray) -> None:
-    """target <- G_k @ target in place; target has n-1 rows (matrix or vector)."""
+def _left_apply_generator(n: int, k: int, target: np.ndarray | list) -> None:
+    """target <- G_k @ target in place; target has n-1 rows (matrix, vector or list)."""
     if k == 1:
         target[n - 2] = -target[n - 2]
         return
@@ -88,6 +88,8 @@ def standard_irrep_transpose_apply(n: int, sigma: Permutation, v: np.ndarray) ->
     product applied left to right along the word.  Building the word costs
     Theta(n^2); this is the reference that transform.spectral_shift is
     checked against, in the tests, the theorem suite and `shift --check`.
+    The letters update a list of Python numbers, which rounds as float64
+    (complex128) arithmetic does, without numpy's per-scalar overhead.
     """
     if sigma.n != n:
         raise ValueError(f"permutation lives in S_{sigma.n}, expected S_{n}")
@@ -95,10 +97,10 @@ def standard_irrep_transpose_apply(n: int, sigma: Permutation, v: np.ndarray) ->
     if out.ndim != 1 or out.shape[0] != n - 1:
         raise ValueError(f"expected a vector of length {n - 1}, got shape {out.shape}")
     dtype = np.complex128 if np.iscomplexobj(out) else np.float64
-    out = out.astype(dtype, copy=True)
+    values = out.astype(dtype).tolist()
     for k in sigma.decompose_adjacent():
-        _left_apply_generator(n, k, out)
-    return out
+        _left_apply_generator(n, k, values)
+    return np.array(values, dtype)
 
 
 def verify_coxeter(n: int) -> float:

@@ -3,13 +3,15 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from permharmonic import cli
 from permharmonic.cli import main
-from permharmonic.transform import build_plan, spectral_shift, transform
+from permharmonic.permutations import Permutation
+from permharmonic.transform import build_plan, inverse_transform, spectral_shift, transform
 
 
 def run_cli(argv, capsys, monkeypatch, stdin=None):
@@ -358,3 +360,78 @@ def test_inverse_text_format(capsys, monkeypatch):
     assert code == 0
     got = np.array([float(s) for s in out.strip().splitlines()])
     assert np.max(np.abs(got - np.array([1.0, 2.0, 3.0]))) <= 1e-12
+
+
+TRICKY = (-0.0, 5e-324, 1e-300, 1.0, 0.1, 1e300)
+
+
+def _tricky_vectors():
+    rng = np.random.default_rng(21)
+    for n in (2, 3):
+        for start in range(len(TRICKY)):
+            yield np.resize(np.roll(TRICKY, -start), n)
+    yield rng.permutation(np.resize(TRICKY, 4096))
+
+
+def _joined(values, digits, sep):
+    return sep.join(format(float(v), f".{digits}g") for v in values)
+
+
+def test_vector_output_bytes_match_per_element_format(capsys, monkeypatch):
+    # text prints 15 significant digits per line, CSV and JSON 17, each entry
+    # formatted on its own; the library result is the one printed
+    rng = np.random.default_rng(22)
+    for x in _tricky_vectors():
+        n = x.shape[0]
+        plan = build_plan(n)
+        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+        stdin = " ".join(repr(float(v)) for v in x)
+        cases = [
+            (["transform"], transform(x, plan), '"command": "transform", "n": %d, "inverse": false' % n),
+            (["transform", "--inverse"], inverse_transform(x, plan), '"command": "transform", "n": %d, "inverse": true' % n),
+            (
+                ["shift", "--perm", sigma.one_line()],
+                spectral_shift(sigma, transform(x, plan), plan),
+                '"command": "shift", "n": %d, "perm": [%s]' % (n, ", ".join(map(str, sigma.images))),
+            ),
+        ]
+        for argv, want, head in cases:
+            expected = {
+                "text": _joined(want, 15, "\n") + "\n",
+                "csv": _joined(want, 17, ",") + "\n",
+                "json": "{" + head + ', "output": [' + _joined(want, 17, ", ") + "]}\n",
+            }
+            for fmt, text in expected.items():
+                code, out, err = run_cli(argv + ["--format", fmt], capsys, monkeypatch, stdin=stdin)
+                assert (code, err) == (0, ""), (argv, fmt, err)
+                assert out == text, (argv[0], n, fmt)
+            assert json.loads(expected["json"])["output"] == want.tolist()
+
+
+def test_vector_parse_accepts_every_separator(capsys, monkeypatch):
+    tokens = ["0.1", "-2.5e-3", "7", "-0.0"]
+    want = [float(t) for t in tokens]
+    separators = [" ", "\t", "\r\n", "\x0b", "\x0c", "\u00a0", "\u3000", ", ", ",,", " ,\t"]
+    texts = [sep.join(tokens) for sep in separators]
+    texts += ["0.1,-2.5e-3,7,-0.0,", "\n\n  0.1 -2.5e-3\n7 -0.0\n\n", "\r\n0.1,\t-2.5e-3 ,7 ,-0.0,\r\n"]
+    for text in texts:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        got = cli._read_vector("-")
+        assert got.dtype == np.float64
+        assert got.tolist() == want and math.copysign(1.0, got[3]) == -1.0, repr(text)
+        # the same tokens as the former regular-expression split
+        assert got.tolist() == [float(t) for t in re.split(r"[,\s]+", text.strip()) if t]
+
+
+def test_vector_parse_error_texts(capsys, monkeypatch):
+    cases = [
+        ("1 banana 3", "error: cannot parse -: could not convert string to float: 'banana'\n"),
+        ("1 inf 2 3", "error: non-finite value 'inf' at index 1\n"),
+        ("1,\t1e999", "error: non-finite value '1e999' at index 1\n"),
+        ("42\n", "error: need a vector of length >= 2, got 1\n"),
+        (" ,\n,, \t\n", "error: no numbers found in -\n"),
+        ("", "error: no numbers found in -\n"),
+    ]
+    for stdin, message in cases:
+        code, out, err = run_cli(["transform"], capsys, monkeypatch, stdin=stdin)
+        assert (code, out, err) == (2, "", message), stdin

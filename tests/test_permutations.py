@@ -85,8 +85,11 @@ def test_apply_to_vector_examples():
     assert np.array_equal(identity(3).apply_to_vector(x), x)
     assert np.array_equal(adjacent_transposition(3, 1).apply_to_vector(x), [2.0, 1.0, 3.0])
     sigma = Permutation((4, 1, 3, 2))
-    y = sigma.apply_to_vector(np.array([10.0, 20.0, 30.0, 40.0]))
+    x = np.array([10.0, 20.0, 30.0, 40.0])
+    y = sigma.apply_to_vector(x)
     assert np.array_equal(y, [40.0, 10.0, 30.0, 20.0])
+    # a fresh, writable array, never a view of x
+    assert y.flags.writeable and not np.shares_memory(y, x)
 
 
 def test_apply_to_vector_length_mismatch():

@@ -146,11 +146,24 @@ def test_transpose_apply_matches_matrix():
 
 def test_transpose_apply_complex():
     rng = np.random.default_rng(4)
-    sigma = random_permutation(6, rng)
-    v = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
-    got = standard_irrep_transpose_apply(6, sigma, v)
-    want = standard_irrep(6, sigma).T @ v
-    assert np.max(np.abs(got - want)) <= 1e-12
+    for n in range(2, 13):
+        sigma = random_permutation(n, rng)
+        v = rng.uniform(-1, 1, n - 1) + 1j * rng.uniform(-1, 1, n - 1)
+        got = standard_irrep_transpose_apply(n, sigma, v)
+        assert got.dtype == np.complex128
+        want = standard_irrep(n, sigma).T @ v
+        assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+def test_transpose_apply_longest_word():
+    # the reversed permutation has the longest word, n(n-1)/2 letters
+    n = 64
+    sigma = Permutation(tuple(range(n, 0, -1)))
+    assert len(sigma.decompose_adjacent()) == n * (n - 1) // 2
+    v = np.random.default_rng(5).uniform(-1, 1, n - 1)
+    got = standard_irrep_transpose_apply(n, sigma, v)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - standard_irrep(n, sigma).T @ v)) <= 1e-12
 
 
 def test_dimension_checks():
