@@ -34,8 +34,7 @@ from .transform import (
     transform,
     transform_counted,
 )
-from .verify import SUITES, SuiteReport, bandlimit_checks, run_suite, schur_checks
-from .yor import standard_irrep_transpose_apply
+from .verify import SUITES, SuiteReport, bandlimit_checks, run_suite, schur_checks, shift_check
 
 
 class CliError(Exception):
@@ -149,7 +148,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHECK_TOL = 1e-10
 # Largest n for the Theta(n^2) references: shift --check, orthogonality and theorem.
 _CHECK_MAX_N = 4096
 _QUADRATIC_SUITE_MAX_N = 256
@@ -170,11 +168,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     shifted = spectral_shift(sigma, spectrum, plan)
     _require_finite(shifted)
 
-    deviation = None
-    if args.check:
-        reference = spectrum.copy()
-        reference[1:] = standard_irrep_transpose_apply(plan.n, sigma, spectrum[1:])
-        deviation = float(np.max(np.abs(shifted - reference)))
+    check = shift_check(sigma, spectrum, shifted) if args.check else None
 
     if args.format == "json":
         payload = {
@@ -183,18 +177,16 @@ def _cmd_shift(args: argparse.Namespace) -> int:
             "perm": list(sigma.images),
             "output": shifted,
         }
-        if args.check:
-            payload["check_deviation"] = deviation
-            payload["check_passed"] = deviation <= _CHECK_TOL
+        if check is not None:
+            payload["check_deviation"] = check.deviation
+            payload["check_passed"] = check.passed
         print(_to_json(payload))
     else:
         _print_vector(shifted, args.format)
-        if args.check:
-            status = "PASS" if deviation <= _CHECK_TOL else "FAIL"
-            print(f"check_deviation = {_float_str(deviation, 15)} [{status}]")
-    if args.check and deviation > _CHECK_TOL:
-        return 1
-    return 0
+        if check is not None:
+            status = "PASS" if check.passed else "FAIL"
+            print(f"check_deviation = {_float_str(check.deviation, 15)} [{status}]")
+    return 1 if check is not None and not check.passed else 0
 
 
 def _apply_tol(reports: list[SuiteReport], tol: float | None) -> list[SuiteReport]:

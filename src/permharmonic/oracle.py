@@ -9,14 +9,18 @@ full-group coefficients to the O(n) transform.
 
 Every group sum splits S_m into the cosets c_j S_{m-1}, where c_j sends m
 to j, and multiplies each coset's partial sum over S_{m-1} by D(c_j) with
-sparse generator updates.  The tableau basis is adapted to S_{m-1} < S_m:
-restricted to S_{m-1}, D(shape) is block diagonal over the shapes left by
-removing one corner, so each coset's partial sum is the block diagonal of
-group sums one level down, and every sum recurses down the shape's
-down-set.  fourier_full recurses on the values of its function; lifted
-vectors (constant on each coset) need only the sum of D over S_{m-1}, which
-depends on the shape alone and is cached.  Each element is counted exactly
-once, and nothing of size n! outlives a call.
+sparse generator updates, the only form of the generators kept here
+(yor_generator densifies one on request).  The tableau basis is adapted to
+S_{m-1} < S_m: restricted to S_{m-1}, D(shape) is block diagonal over the
+shapes left by removing one corner, so each coset's partial sum is the
+block diagonal of group sums one level down, and every sum recurses down
+the shape's down-set.  fourier_full recurses on the values of its
+function; lifted vectors (constant on each coset) need only the sum of D
+over S_{m-1}, which depends on the shape alone and is cached.  Each
+element is counted exactly once, and nothing of size n! outlives a call.
+The function is read at permutations that itertools.permutations makes
+valid, so they skip validation; a translated function is read at the
+shifted images directly.
 
 Work and cap both scale factorially; the cap from permutations.oracle_cap
 applies to every operation that touches the whole group.
@@ -32,20 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permutations import OracleCapExceeded, Permutation, compose, oracle_cap
+from .permutations import Permutation, check_cap
 from .transform import build_plan, dense_transform
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 Action = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _check_cap(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"group degree must be positive, got {n}")
-    cap = oracle_cap()
-    if n > cap:
-        raise OracleCapExceeded(f"n={n} exceeds the oracle cap {cap}")
 
 
 def validate_partition(shape: Partition) -> int:
@@ -62,7 +58,7 @@ def validate_partition(shape: Partition) -> int:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order: (n) first, (1,...,1) last."""
-    _check_cap(n)
+    check_cap(n)
     out: list[Partition] = []
 
     def descend(remaining: int, largest: int, prefix: Partition) -> None:
@@ -131,97 +127,79 @@ def tableau_count(shape: Partition) -> int:
     return math.factorial(n) // denom
 
 
-def _positions(t: Tableau) -> dict[int, tuple[int, int]]:
-    return {v: (r, c) for r, row in enumerate(t) for c, v in enumerate(row)}
-
-
 @lru_cache(maxsize=None)
+def _actions(shape: Partition) -> tuple[Action, ...]:
+    """Sparse rows of yor_generator(shape, k), k = 1..n-1, as read-only (diag, pair, off).
+
+    Row i holds diag[i] on the diagonal and off[i] in column pair[i], read
+    straight from the tableaux; rows with no partner read partner 0 with
+    weight 0.
+    """
+    ts = _tableaux(shape)
+    index = {t: i for i, t in enumerate(ts)}
+    positions = [{v: (r, c) for r, row in enumerate(t) for c, v in enumerate(row)} for t in ts]
+    actions = []
+    for k in range(1, sum(shape)):
+        diag, pair, off = np.empty(len(ts)), np.zeros(len(ts), dtype=np.intp), np.zeros(len(ts))
+        swap = {k: k + 1, k + 1: k}
+        for i, (t, pos) in enumerate(zip(ts, positions)):
+            (r1, c1), (r2, c2) = pos[k], pos[k + 1]
+            axial = (c2 - c1) - (r2 - r1)
+            diag[i] = 1.0 / axial
+            if r1 != r2 and c1 != c2:
+                pair[i] = index[tuple(tuple(swap.get(v, v) for v in row) for row in t)]
+                off[i] = math.sqrt(1.0 - 1.0 / (axial * axial))
+        for arr in (diag, pair, off):
+            arr.setflags(write=False)
+        actions.append((diag, pair, off))
+    return tuple(actions)
+
+
+def _act(action: Action, rows: np.ndarray) -> None:
+    """rows <- G @ rows in place along axis -2, for G a generator in _actions form."""
+    diag, pair, off = action
+    rows[...] = diag[:, None] * rows + off[:, None] * rows[..., pair, :]
+
+
 def yor_generator(shape: Partition, k: int) -> np.ndarray:
     """Orthogonal matrix of the adjacent transposition tau_k on shape's tableaux.
 
     Rows/columns follow standard_tableaux(shape).  For tableau t with axial
     distance r between k and k+1 (column difference minus row difference),
     the diagonal entry is 1/r; if exchanging k and k+1 keeps t standard, the
-    entry pairing the two tableaux is sqrt(1 - 1/r^2).
+    entry pairing the two tableaux is sqrt(1 - 1/r^2).  Every other entry is
+    zero.  A fresh dense array on each call, kept as a reference.
     """
     n = validate_partition(shape)
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    ts = standard_tableaux(shape)
-    index = {t: i for i, t in enumerate(ts)}
-    d = len(ts)
-    mat = np.zeros((d, d))
-    for i, t in enumerate(ts):
-        pos = _positions(t)
-        r1, c1 = pos[k]
-        r2, c2 = pos[k + 1]
-        axial = (c2 - c1) - (r2 - r1)
-        mat[i, i] = 1.0 / axial
-        if r1 != r2 and c1 != c2:
-            swapped = tuple(
-                tuple(k + 1 if v == k else k if v == k + 1 else v for v in row) for row in t
-            )
-            j = index[swapped]
-            if j > i:
-                mat[i, j] = mat[j, i] = math.sqrt(1.0 - 1.0 / (axial * axial))
-    mat.setflags(write=False)
+    mat = np.eye(len(_tableaux(shape)))
+    _act(_actions(shape)[k - 1], mat)
     return mat
 
 
 def yor_matrix(shape: Partition, sigma: Permutation) -> np.ndarray:
-    """Orthogonal matrix of sigma on shape's tableaux, by generator products."""
+    """Orthogonal matrix of sigma on shape's tableaux: its word's generators applied to I."""
     n = validate_partition(shape)
     if sigma.n != n:
         raise ValueError(f"permutation lives in S_{sigma.n}, partition sums to {n}")
-    mat = np.eye(len(standard_tableaux(shape)))
-    for k in sigma.decompose_adjacent():
-        mat = mat @ yor_generator(shape, k)
+    mat = np.eye(len(_tableaux(shape)))
+    actions = _actions(shape)
+    for k in reversed(sigma.decompose_adjacent()):
+        _act(actions[k - 1], mat)
     return mat
-
-
-def _row_action(gen: np.ndarray) -> Action:
-    """Sparse form of left-multiplication by a generator matrix.
-
-    Every generator row holds its diagonal entry plus at most one
-    off-diagonal partner, so G @ M is diag*M plus off*M at paired rows;
-    generators are symmetric, so the partners are read off the columns.
-    """
-    diag = np.diag(gen).copy()
-    offdiag = gen - np.diag(diag)
-    pair = np.argmax(offdiag != 0, axis=0)  # row 0, with weight 0, where unpaired
-    return diag, pair, offdiag[pair, np.arange(len(diag))]
-
-
-@lru_cache(maxsize=None)
-def _general_actions(shape: Partition) -> tuple[Action, ...]:
-    n = validate_partition(shape)
-    return tuple(_row_action(yor_generator(shape, k)) for k in range(1, n))
-
-
-def _fold(inner: np.ndarray, actions: tuple[Action, ...]) -> np.ndarray:
-    """D(c_j) @ inner[..., j-1, :, :] for j = 1..m; c_j = tau_j ... tau_{m-1} sends m to j.
-
-    S_m is the disjoint union of the cosets c_j S_{m-1}, so when
-    inner[..., j-1, :, :] is the sum of f(c_j delta) D(delta) over delta in
-    S_{m-1}, the result holds the sum of f(sigma) D(sigma) over each coset.
-    D(c_j) is applied as m - j generator row actions, innermost (tau_{m-1})
-    first.  Axes before the coset axis are batch axes.
-    """
-    out = np.array(inner, dtype=float)
-    for k in range(out.shape[-3] - 1, 0, -1):
-        diag, pair, off = actions[k - 1]
-        head = out[..., :k, :, :]
-        head[...] = diag[:, None] * head + off[:, None] * head[..., pair, :]
-    return out
 
 
 def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
     """Per-coset sums over S_m, from one group sum over S_{m-1} per corner removal.
 
     sums[i] belongs to the i-th shape of _removals(shape) and carries the
-    coset axis j last among its leading axes, or is broadcast along it.
-    Their block diagonal is D(shape) summed over S_{m-1}, which _fold
-    carries to each coset c_j S_{m-1}.
+    coset axis j last among its leading axes, or is broadcast along it;
+    axes before it are batch axes.  Their block diagonal is D(shape) summed
+    over S_{m-1}.  S_m is the disjoint union of the cosets c_j S_{m-1}, with
+    c_j = tau_j ... tau_{m-1} sending m to j, so D(c_j) times the j-th block
+    diagonal is the sum over c_j S_{m-1}; D(c_j) is applied as m - j
+    generator row actions, innermost (tau_{m-1}) first.
     """
     m = sum(shape)
     d = len(_tableaux(shape))
@@ -231,7 +209,10 @@ def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
         stop = start + s.shape[-1]
         out[..., start:stop, start:stop] = s
         start = stop
-    return _fold(out, _general_actions(shape))
+    actions = _actions(shape)
+    for k in range(m - 1, 0, -1):
+        _act(actions[k - 1], out[..., :k, :, :])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -266,18 +247,21 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
     return lifted
 
 
-def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition, np.ndarray]:
-    """Fourier coefficients sum_sigma func(sigma) * D(shape, sigma), every shape.
+def _group_sums(
+    func: Callable[[Permutation], float], pool: tuple[int, ...]
+) -> dict[Partition, np.ndarray]:
+    """sum_sigma func(pi sigma) * D(shape, sigma) over S_n, every shape; pi has images pool.
 
     All n! terms, each read once.  sigma = c_{j_n} ... c_{j_2}, with c_{j_m}
     in S_m sending m to j_m, is read in lexicographic order of (j_n, ...,
-    j_2), which is that of sigma's images read from n down to 1.  For
-    m = 1..n, the sums over S_m at every shape of m are formed for each
-    choice of the outer cosets j_n..j_{m+1}, from those at the shape's
-    corner removals one level down.  Cost O(n! * n^3).
+    j_2), which is that of sigma's images read from n down to 1; at the
+    same position, itertools.permutations(pool) yields the images of pi sigma
+    read the same way.  For m = 1..n, the sums over S_m at every shape of m
+    are formed for each choice of the outer cosets j_n..j_{m+1}, from those
+    at the shape's corner removals one level down.  Cost O(n! * n^3).
     """
-    _check_cap(n)
-    values = [func(Permutation(w[::-1])) for w in itertools.permutations(range(1, n + 1))]
+    n = len(pool)
+    values = [func(Permutation._trusted(w[::-1])) for w in itertools.permutations(pool)]
     sums = {(): np.array(values, dtype=float).reshape(tuple(range(n, 0, -1)) + (1, 1))}
     for m in range(1, n + 1):
         sums = {
@@ -287,11 +271,17 @@ def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition
     return sums
 
 
+def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition, np.ndarray]:
+    """Fourier coefficients sum_sigma func(sigma) * D(shape, sigma), every shape."""
+    check_cap(n)
+    return _group_sums(func, tuple(range(1, n + 1)))
+
+
 def _lifted_input(f: np.ndarray) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ValueError(f"expected a 1-D vector of length >= 2, got shape {arr.shape}")
-    _check_cap(arr.shape[0])
+    check_cap(arr.shape[0])
     return arr
 
 
@@ -315,7 +305,7 @@ def stabilizer_projection(shape: Partition) -> np.ndarray:
     vanishes outright, in any basis.
     """
     n = validate_partition(shape)
-    _check_cap(n)
+    check_cap(n)
     # c_n is the identity, so the last coset sum is the sum over S_{n-1}.
     return _coset_sums(shape)[-1].T / math.factorial(n - 1)
 
@@ -379,7 +369,7 @@ def verify_translation(
     if delta.n != n:
         raise ValueError(f"shift permutation lives in S_{delta.n}, expected S_{n}")
     coeffs = fourier_full(func, n)
-    shifted = fourier_full(lambda sigma: func(compose(delta, sigma)), n)
+    shifted = _group_sums(func, delta.images)
     deviations: dict[Partition, float] = {}
     for shape, block in coeffs.items():
         predicted = yor_matrix(shape, delta).T @ block
@@ -411,7 +401,7 @@ class SchurReport:
 
 def derive_schur_constants(n: int) -> SchurReport:
     """Measure the diagonal linking matrix and its two scalar blocks."""
-    _check_cap(n)
+    check_cap(n)
     if n < 3:
         raise ValueError(f"scalar-block measurement needs n >= 3, got {n}")
     # Column i: leftmost columns of the kept coefficients of the indicator of i+1.

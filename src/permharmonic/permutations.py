@@ -15,6 +15,7 @@ Text format: space-separated 1-based images, e.g. ``"2 3 1"``.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import reduce
@@ -45,14 +46,30 @@ def oracle_cap() -> int:
     return cap
 
 
+def check_cap(n: int) -> None:
+    """Refuse a whole-group operation on S_n unless 1 <= n <= oracle_cap()."""
+    if n < 1:
+        raise ValueError(f"group degree must be positive, got {n}")
+    cap = oracle_cap()
+    if n > cap:
+        raise OracleCapExceeded(f"n={n} exceeds the oracle cap {cap}; set {ORACLE_CAP_ENV}")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation sigma of {1, ..., n}, stored as its image tuple sigma(1..n)."""
 
     images: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Skip validation: images must already be a tuple of ints forming a bijection of 1..n."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "images", images)
+        return sigma
+
     def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
+        images = tuple(map(operator.index, self.images))
         object.__setattr__(self, "images", images)
         if len(images) < 1:
             raise ValueError("a permutation needs n >= 1")
@@ -178,20 +195,8 @@ def enumerate_group(n: int) -> Iterator[Permutation]:
 
     Guarded by oracle_cap() since the output size is n!.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cap = oracle_cap()
-    if n > cap:
-        raise OracleCapExceeded(
-            f"enumerate_group(n={n}) exceeds the oracle cap {cap}; "
-            f"override with {ORACLE_CAP_ENV} if you really want n! = huge"
-        )
-
-    def gen() -> Iterator[Permutation]:
-        for images in _lex_permutations(range(1, n + 1)):
-            yield Permutation(images)
-
-    return gen()
+    check_cap(n)
+    return map(Permutation, _lex_permutations(range(1, n + 1)))
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:

@@ -114,6 +114,24 @@ def _equivariance_deviation(sigma: Permutation, x: np.ndarray, plan) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def shift_check(sigma: Permutation, spectrum: np.ndarray, shifted: np.ndarray) -> Check:
+    """Deviation of a shifted spectrum from the Young word product 1 (+) D(sigma)^t.
+
+    The tolerance is a first-order float64 bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3) at the spectrum's scale, which
+    the orthogonal maps preserve: 4u per step, for the two roundings of a
+    two-term combination and those of its coefficients, over n(n-1)/2 steps
+    for the longest word plus n for the O(n) path.  u is the unit roundoff.
+    """
+    n = sigma.n
+    reference = np.array(spectrum, dtype=float)
+    reference[1:] = standard_irrep_transpose_apply(n, sigma, reference[1:])
+    deviation = float(np.max(np.abs(shifted - reference)))
+    unit_roundoff = float(np.finfo(float).eps) / 2
+    bound = 4 * unit_roundoff * (n * (n - 1) // 2 + n) * float(np.max(np.abs(spectrum)))
+    return Check("shift_word_product", deviation, bound)
+
+
 def run_theorem(n: int, seed: int = 0, trials: int = 500) -> SuiteReport:
     """Permuting the input equals shifting the spectrum by the word product 1 (+) D(sigma)^t.
 

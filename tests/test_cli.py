@@ -149,6 +149,20 @@ def test_shift_check_json(capsys, monkeypatch):
     assert payload["check_deviation"] <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e6, 1e12, 1e300])
+def test_shift_check_passes_at_every_magnitude(capsys, monkeypatch, scale):
+    # the check's tolerance scales with the spectrum; at 1e6 the deviation is
+    # 9.3e-10, which an absolute 1e-10 failed
+    stdin = " ".join(repr(v * scale) for v in (1.0, 2.0, 3.0, 4.0, 5.0))
+    code, out, _ = run_cli(
+        ["shift", "--perm", "5 3 1 2 4", "--check", "--format", "json"],
+        capsys,
+        monkeypatch,
+        stdin=stdin,
+    )
+    assert code == 0 and json.loads(out)["check_passed"] is True
+
+
 def test_shift_check_fails_on_a_wrong_shift_rule(capsys, monkeypatch):
     # the check's reference is the Young word product, not the fast path
     monkeypatch.setattr(

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import time
 
 import numpy as np
@@ -267,6 +268,34 @@ def test_oracle_retains_no_group_elements(monkeypatch):
     gc.collect()
     live = sum(isinstance(obj, Permutation) for obj in gc.get_objects())
     assert live < 100, live
+
+
+def test_generators_are_fresh_and_only_their_sparse_form_is_cached(monkeypatch):
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+    oracle._actions.cache_clear()
+    verify_bandlimit(np.random.default_rng(15).uniform(-1, 1, 8))
+    first = yor_generator((6, 2), 3)
+    first[:] = 0.0
+    again = yor_generator((6, 2), 3)
+    assert again is not first and np.max(np.abs(again @ again - np.eye(len(again)))) <= 1e-12
+    shapes = [shape for m in range(1, 9) for shape in enumerate_partitions(m)]
+    retained = sum(sys.getsizeof(a) for s in shapes for act in oracle._actions(s) for a in act)
+    assert oracle._actions.cache_info().currsize == len(shapes)
+    assert retained < 0.5e6, retained
+
+
+def test_fourier_full_at_n9_under_a_raised_cap(monkeypatch):
+    monkeypatch.setenv(ORACLE_CAP_ENV, "9")
+    f = np.random.default_rng(16).uniform(-1, 1, 9)
+    started = time.perf_counter()
+    coeffs = fourier_full(lift(f), 9)
+    elapsed = time.perf_counter() - started
+    report = verify_bandlimit(f)
+    # the same 9! terms summed in two orders: far inside the band-limit bound
+    assert np.max(np.abs(coeffs[(8, 1)] - fourier_standard_block(f))) <= 1e-6 * report.bound
+    off_band = [np.max(np.abs(b)) for shape, b in coeffs.items() if shape not in {(9,), (8, 1)}]
+    assert max(off_band) <= report.bound
+    assert elapsed < 3.0, f"fourier_full took {elapsed:.3f}s at n=9, budget 3s"
 
 
 def test_fourier_standard_block_matches_general_basis():

@@ -36,6 +36,16 @@ def test_validation_rejects_non_bijections():
         Permutation(())
 
 
+def test_validation_rejects_non_integral_images():
+    # images are coerced with operator.index, never truncated or parsed
+    for images in [(1.5, 2), (2.9, 1.2), (2.0, 1.0), ("2", "1")]:
+        with pytest.raises(TypeError):
+            Permutation(images)
+    sigma = Permutation(np.array([2, 3, 1]))
+    assert sigma == Permutation((2, 3, 1))
+    assert all(type(v) is int for v in sigma.images)
+
+
 def test_call_is_one_based():
     sigma = Permutation((2, 3, 1))
     assert [sigma(1), sigma(2), sigma(3)] == [2, 3, 1]
@@ -167,6 +177,8 @@ def test_enumerate_group_cap_is_eager(monkeypatch):
     assert oracle_cap() == DEFAULT_ORACLE_CAP
     with pytest.raises(OracleCapExceeded):
         enumerate_group(DEFAULT_ORACLE_CAP + 1)  # must raise without being consumed
+    with pytest.raises(ValueError):
+        enumerate_group(0)
 
 
 def test_oracle_cap_env_override(monkeypatch):
