@@ -319,14 +319,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         x = rng.uniform(-1.0, 1.0, n)
         fast_ns = min(_time_ns(lambda: transform(x, plan)) for _ in range(args.reps))
         dense_ns = min(_time_ns(lambda: dense @ x) for _ in range(args.reps))
+        _, mult, add = transform_counted(x, plan)
         rows.append(
             {
                 "n": n,
                 "fast_ns": fast_ns,
                 "dense_ns": dense_ns,
-                "mult": 2 * n - 2,
-                "add": 2 * n - 2,
-                "ops_total": 2 * (2 * n - 2),
+                "mult": mult,
+                "add": add,
+                "ops_total": mult + add,
                 "bound_cubic": n**3 - n**2,
                 "bound_quadratic": 3 * n * (n - 1) // 2,
             }

@@ -76,18 +76,6 @@ class CountedScalar:
     def __neg__(self) -> "CountedScalar":
         return CountedScalar(-self.value, self.counter)
 
-    def __radd__(self, other: object) -> "CountedScalar":
-        raise TypeError("counted arithmetic requires CountedScalar operands")
-
-    def __rsub__(self, other: object) -> "CountedScalar":
-        raise TypeError("counted arithmetic requires CountedScalar operands")
-
-    def __rmul__(self, other: object) -> "CountedScalar":
-        raise TypeError("counted arithmetic requires CountedScalar operands")
-
-    def __rtruediv__(self, other: object) -> "CountedScalar":
-        raise TypeError("counted arithmetic requires CountedScalar operands")
-
     def __float__(self) -> float:
         return self.value
 

@@ -15,9 +15,10 @@ S_{m-1} < S_m: restricted to S_{m-1}, D(shape) is block diagonal over the
 shapes left by removing one corner, so each coset's partial sum is the
 block diagonal of group sums one level down, and every sum recurses down
 the shape's down-set.  fourier_full recurses on the values of its
-function; lifted vectors (constant on each coset) need only the sum of D
-over S_{m-1}, which depends on the shape alone and is cached.  Each
-element is counted exactly once, and nothing of size n! outlives a call.
+function; lifted vectors (constant on each coset) need only each shape's
+per-coset sums, which depend on the shape alone and are cached read-only:
+(n+1)! floats over every shape up to the largest n used, the only thing of
+size n! that outlives a call.  Each element is counted exactly once.
 The function is read at permutations that itertools.permutations makes
 valid, so they skip validation; a translated function is read at the
 shifted images directly.
@@ -216,16 +217,15 @@ def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _group_sum(shape: Partition) -> np.ndarray:
-    """Sum of D(shape, sigma) over all of S_m, read-only; [[1]] for the empty shape."""
-    total = _coset_sums(shape).sum(axis=0) if shape else np.ones((1, 1))
-    total.setflags(write=False)
-    return total
-
-
 def _coset_sums(shape: Partition) -> np.ndarray:
-    """Sum of D(shape, sigma) over {sigma : sigma(m) = j}, stacked for j = 1..m."""
-    return _coset_stack(shape, [_group_sum(mu) for _, mu in _removals(shape)])
+    """Sum of D(shape, sigma) over {sigma : sigma(m) = j}, stacked for j = 1..m, read-only.
+
+    ones((1, 1, 1)) for the empty shape; summed over j, the total over S_m.
+    """
+    sums = [_coset_sums(mu).sum(axis=0) for _, mu in _removals(shape)]
+    stack = _coset_stack(shape, sums) if shape else np.ones((1, 1, 1))
+    stack.setflags(write=False)
+    return stack
 
 
 def lift(f: np.ndarray) -> Callable[[Permutation], float]:

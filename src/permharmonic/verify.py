@@ -107,13 +107,6 @@ def run_orthogonality(n: int, seed: int = 0, trials: int = 20) -> SuiteReport:
     )
 
 
-def _equivariance_deviation(sigma: Permutation, x: np.ndarray, plan) -> float:
-    lhs = transform(sigma.apply_to_vector(x), plan)
-    rhs = transform(x, plan)
-    rhs[1:] = standard_irrep_transpose_apply(plan.n, sigma, rhs[1:])
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def shift_check(sigma: Permutation, spectrum: np.ndarray, shifted: np.ndarray) -> Check:
     """Deviation of a shifted spectrum from the Young word product 1 (+) D(sigma)^t.
 
@@ -141,16 +134,17 @@ def run_theorem(n: int, seed: int = 0, trials: int = 500) -> SuiteReport:
     """
     plan = build_plan(n)
     rng = np.random.default_rng(seed)
-    dev = 0.0
     if n <= 5:
         name = "equivariance_exhaustive"
-        for sigma in enumerate_group(n):
-            dev = max(dev, _equivariance_deviation(sigma, rng.uniform(-1.0, 1.0, n), plan))
+        sigmas = enumerate_group(n)
     else:
         name = "equivariance_random"
-        for _ in range(trials):
-            sigma = random_permutation(n, rng)
-            dev = max(dev, _equivariance_deviation(sigma, rng.uniform(-1.0, 1.0, n), plan))
+        sigmas = (random_permutation(n, rng) for _ in range(trials))
+    dev = 0.0
+    for sigma in sigmas:  # drawn lazily: each permutation, then its vector
+        x = rng.uniform(-1.0, 1.0, n)
+        shifted = transform(sigma.apply_to_vector(x), plan)
+        dev = max(dev, shift_check(sigma, transform(x, plan), shifted).deviation)
 
     composition = 0.0
     for _ in range(20):

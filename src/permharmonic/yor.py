@@ -43,11 +43,7 @@ def standard_irrep_generator(n: int, k: int) -> np.ndarray:
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     mat = np.eye(n - 1)
-    if k == 1:
-        mat[n - 2, n - 2] = -1.0
-    else:
-        r = n - k - 1
-        mat[r : r + 2, r : r + 2] = transposition_block(k)
+    _left_apply_generator(n, k, mat)
     return mat
 
 

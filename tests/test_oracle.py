@@ -33,6 +33,7 @@ from permharmonic.permutations import (
     random_permutation,
 )
 from permharmonic.transform import transform
+from permharmonic.verify import run_prop1
 from permharmonic.yor import standard_irrep, standard_irrep_generator
 
 # lambda2 has no closed form given in advance; these values were produced by
@@ -296,6 +297,34 @@ def test_fourier_full_at_n9_under_a_raised_cap(monkeypatch):
     off_band = [np.max(np.abs(b)) for shape, b in coeffs.items() if shape not in {(9,), (8, 1)}]
     assert max(off_band) <= report.bound
     assert elapsed < 3.0, f"fourier_full took {elapsed:.3f}s at n=9, budget 3s"
+
+
+def test_coset_sums_are_cached_once_per_shape_and_read_only(monkeypatch):
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+    oracle._coset_sums.cache_clear()
+    f = np.random.default_rng(17).uniform(-1, 1, 8)
+    verify_bandlimit(f)
+    # every shape of m <= 8, the empty one included: (8+1)! floats in all
+    shapes = [()] + [shape for m in range(1, 9) for shape in enumerate_partitions(m)]
+    assert oracle._coset_sums.cache_info().currsize == len(shapes) == 67
+    stacks = [oracle._coset_sums(shape) for shape in shapes]
+    assert sum(stack.size for stack in stacks) == math.factorial(9)
+    assert not any(stack.flags.writeable for stack in stacks)
+    for call in (lambda: stabilizer_projection((6, 2)), lambda: fourier_standard_block(f)):
+        first = call()
+        expected = first.copy()
+        first[...] = 0.0
+        assert np.array_equal(call(), expected)
+
+
+def test_prop1_at_n9_under_a_raised_cap(monkeypatch):
+    monkeypatch.setenv(ORACLE_CAP_ENV, "9")
+    oracle._coset_sums.cache_clear()
+    started = time.perf_counter()
+    report = run_prop1(9)
+    elapsed = time.perf_counter() - started
+    assert report.passed
+    assert elapsed < 2.0, f"run_prop1 took {elapsed:.3f}s at n=9, budget 2s"
 
 
 def test_fourier_standard_block_matches_general_basis():
