@@ -226,6 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                             "name": c.name,
                             "deviation": c.deviation,
                             "tolerance": c.tolerance,
+                            "ratio": c.ratio if math.isfinite(c.ratio) else None,
                             "passed": c.passed,
                         }
                         for c in r.checks
@@ -244,7 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 status = "PASS" if c.passed else "FAIL"
                 print(
                     f"  {status} {c.name}: deviation {_float_str(c.deviation, 15)}"
-                    f" tolerance {_float_str(c.tolerance, 15)}"
+                    f" tolerance {_float_str(c.tolerance, 15)} margin {_float_str(c.ratio, 15)}"
                 )
         print(f"overall: {'PASS' if passed else 'FAIL'} (elapsed_ns={elapsed})")
     return 0 if passed else 1

@@ -19,9 +19,11 @@ function; lifted vectors (constant on each coset) need only each shape's
 per-coset sums, which depend on the shape alone and are cached read-only:
 (n+1)! floats over every shape up to the largest n used, the only thing of
 size n! that outlives a call.  Each element is counted exactly once.
-The function is read at permutations that itertools.permutations makes
-valid, so they skip validation; a translated function is read at the
-shifted images directly.
+The function is read once per element, at permutations that
+itertools.permutations makes valid, so they skip validation.  Group sums
+take a leading batch axis: verify_translation gathers the translated
+function's values from the function's own by lexicographic rank and sends
+both through one recursion.
 
 Work and cap both scale factorially; the cap from permutations.oracle_cap
 applies to every operation that touches the whole group.
@@ -57,9 +59,8 @@ def validate_partition(shape: Partition) -> int:
     return int(sum(shape))
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in reverse lexicographic order: (n) first, (1,...,1) last."""
-    check_cap(n)
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
 
     def descend(remaining: int, largest: int, prefix: Partition) -> None:
@@ -70,7 +71,13 @@ def enumerate_partitions(n: int) -> list[Partition]:
             descend(remaining - part, part, prefix + (part,))
 
     descend(n, n, ())
-    return out
+    return tuple(out)
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n in reverse lexicographic order: (n) first, (1,...,1) last."""
+    check_cap(n)
+    return list(_partitions(n))
 
 
 def _removals(shape: Partition) -> list[tuple[int, Partition]]:
@@ -247,26 +254,42 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
     return lifted
 
 
-def _group_sums(
-    func: Callable[[Permutation], float], pool: tuple[int, ...]
-) -> dict[Partition, np.ndarray]:
-    """sum_sigma func(pi sigma) * D(shape, sigma) over S_n, every shape; pi has images pool.
+def _values(func: Callable[[Permutation], float], n: int) -> list[float]:
+    """func at every sigma in S_n, in coset order.
 
-    All n! terms, each read once.  sigma = c_{j_n} ... c_{j_2}, with c_{j_m}
-    in S_m sending m to j_m, is read in lexicographic order of (j_n, ...,
-    j_2), which is that of sigma's images read from n down to 1; at the
-    same position, itertools.permutations(pool) yields the images of pi sigma
-    read the same way.  For m = 1..n, the sums over S_m at every shape of m
-    are formed for each choice of the outer cosets j_n..j_{m+1}, from those
-    at the shape's corner removals one level down.  Cost O(n! * n^3).
+    That is the lexicographic order of sigma's images read from n down to 1,
+    as itertools.permutations yields them.
     """
-    n = len(pool)
-    values = [func(Permutation._trusted(w[::-1])) for w in itertools.permutations(pool)]
-    sums = {(): np.array(values, dtype=float).reshape(tuple(range(n, 0, -1)) + (1, 1))}
+    return [func(Permutation._trusted(w[::-1])) for w in itertools.permutations(range(1, n + 1))]
+
+
+def _translate(values: list[float], delta: Permutation) -> list[float]:
+    """Values of sigma -> func(delta sigma) in coset order, gathered from func's values.
+
+    At the position of sigma, itertools.permutations(delta.images) yields the
+    images of delta sigma read the same way; its rank among the permutations
+    of 1..n is where func's values hold func(delta sigma).
+    """
+    rank = {w: p for p, w in enumerate(itertools.permutations(range(1, delta.n + 1)))}
+    return [values[rank[w]] for w in itertools.permutations(delta.images)]
+
+
+def _group_sums(values: np.ndarray, n: int) -> dict[Partition, np.ndarray]:
+    """sum_sigma values[..., sigma] * D(shape, sigma) over S_n, every shape.
+
+    values holds n! entries in _values' coset order along its last axis;
+    axes before it are batch axes, kept in every sum.  sigma = c_{j_n} ...
+    c_{j_2}, with c_{j_m} in S_m sending m to j_m, sits at the position of
+    (j_n, ..., j_2) in lexicographic order.  For m = 1..n, the sums over S_m
+    at every shape of m are formed for each choice of the outer cosets
+    j_n..j_{m+1}, from those at the shape's corner removals one level down.
+    Cost O(n! * n^3) per batch entry.
+    """
+    sums = {(): values.reshape(values.shape[:-1] + tuple(range(n, 0, -1)) + (1, 1))}
     for m in range(1, n + 1):
         sums = {
             shape: _coset_stack(shape, [sums[mu] for _, mu in _removals(shape)]).sum(axis=-3)
-            for shape in enumerate_partitions(m)
+            for shape in _partitions(m)
         }
     return sums
 
@@ -274,7 +297,7 @@ def _group_sums(
 def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition, np.ndarray]:
     """Fourier coefficients sum_sigma func(sigma) * D(shape, sigma), every shape."""
     check_cap(n)
-    return _group_sums(func, tuple(range(1, n + 1)))
+    return _group_sums(np.array(_values(func, n), dtype=float), n)
 
 
 def _lifted_input(f: np.ndarray) -> np.ndarray:
@@ -333,7 +356,7 @@ def verify_bandlimit(f: np.ndarray) -> BandlimitReport:
     arr = _lifted_input(f)
     n = arr.shape[0]
     coeffs = {
-        shape: np.tensordot(arr, _coset_sums(shape), axes=1) for shape in enumerate_partitions(n)
+        shape: np.tensordot(arr, _coset_sums(shape), axes=1) for shape in _partitions(n)
     }
     bound = 1e-9 * math.factorial(n) * float(np.max(np.abs(arr)))
     block_norms = {shape: float(np.max(np.abs(block))) for shape, block in coeffs.items()}
@@ -362,18 +385,30 @@ class TranslationReport:
     passed: bool
 
 
+def _translation_sums(
+    func: Callable[[Permutation], float], delta: Permutation
+) -> dict[Partition, np.ndarray]:
+    """(F, G) stacked per shape: the group sums of func and of g = func(delta . sigma).
+
+    func is read once per element; g's values are gathered from those, and
+    both run through one recursion with a leading batch axis of 2.
+    """
+    n = delta.n
+    check_cap(n)
+    values = _values(func, n)
+    return _group_sums(np.array([values, _translate(values, delta)], dtype=float), n)
+
+
 def verify_translation(
     func: Callable[[Permutation], float], delta: Permutation, n: int, tol: float = 1e-9
 ) -> TranslationReport:
     """Check the shift rule: g = func(delta . sigma) has G = D(delta)^t F blockwise."""
     if delta.n != n:
         raise ValueError(f"shift permutation lives in S_{delta.n}, expected S_{n}")
-    coeffs = fourier_full(func, n)
-    shifted = _group_sums(func, delta.images)
     deviations: dict[Partition, float] = {}
-    for shape, block in coeffs.items():
+    for shape, (block, shifted) in _translation_sums(func, delta).items():
         predicted = yor_matrix(shape, delta).T @ block
-        deviations[shape] = float(np.max(np.abs(shifted[shape] - predicted)))
+        deviations[shape] = float(np.max(np.abs(shifted - predicted)))
     max_deviation = max(deviations.values())
     return TranslationReport(
         n=n, deviations=deviations, max_deviation=max_deviation, passed=max_deviation <= tol

@@ -10,6 +10,13 @@ Spectral index 0 carries the mean component; indices 1..n-1 carry the
 (n-1)-dimensional standard block, which reacts to permutations of the input
 through the orthogonal matrices D(sigma) of yor.py, the shift rule's
 reference; spectral_shift applies them in O(n) as inverse, gather, forward.
+
+Every public call works along the last axis: a 1-D vector is the batch of
+shape (), and a (..., n) array is transformed row by row, each row bitwise
+as its own 1-D call, through the same one forward and one inverse kernel.
+bool, integer and float input is read as float64 and complex input as
+complex128; other dtypes (strings, bytes, objects, records) raise TypeError.
+The counted transforms bill one vector and take 1-D real input only.
 """
 
 from __future__ import annotations
@@ -37,9 +44,11 @@ class TransformPlan:
     coef: np.ndarray
 
     @cached_property
-    def identity_images(self) -> tuple[int, ...]:
-        """The identity's one-line images, built on first use by spectral_shift."""
-        return tuple(range(1, self.n + 1))
+    def positions(self) -> np.ndarray:
+        """0, ..., n-1, read-only: the identity's gather index, built on first use."""
+        positions = np.arange(self.n)
+        positions.setflags(write=False)
+        return positions
 
 
 def build_plan(n: int) -> TransformPlan:
@@ -76,16 +85,44 @@ def dense_transform(plan: TransformPlan) -> np.ndarray:
     return plan.alpha[:, None] * contrast_matrix(plan.n)
 
 
+_COERCED = {"b": np.float64, "i": np.float64, "u": np.float64, "f": np.float64, "c": np.complex128}
+
+
 def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
+    """x as vectors along its last axis, shape (..., n), with a plan for n.
+
+    bool, integer and float input becomes float64, complex input complex128;
+    strings, bytes, objects and records raise TypeError.
+    """
     arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
+    dtype = _COERCED.get(arr.dtype.kind)
+    if dtype is None:
+        raise TypeError(f"expected bool, integer, float or complex input, got dtype {arr.dtype}")
+    if arr.ndim == 0:
+        raise ValueError("expected vectors along a last axis, got a 0-d input")
     if plan is None:
-        plan = build_plan(arr.shape[0])
-    elif plan.n != arr.shape[0]:
-        raise ValueError(f"plan is for n={plan.n}, vector has length {arr.shape[0]}")
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        plan = build_plan(arr.shape[-1])
+    elif plan.n != arr.shape[-1]:
+        raise ValueError(f"plan is for n={plan.n}, vector has length {arr.shape[-1]}")
     return arr.astype(dtype, copy=False), plan
+
+
+def _forward(arr: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    s = np.add.accumulate(arr, axis=-1)
+    out = np.empty_like(arr)
+    out[..., 0] = s[..., -1]
+    rows = out[..., :0:-1]
+    np.multiply(plan.coef, arr[..., 1:], out=rows)
+    rows -= s[..., :-1]
+    out *= plan.alpha
+    return out
+
+
+def _inverse(spectrum: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    b = plan.alpha * spectrum
+    out = 2.0 * b[..., :1] - np.add.accumulate(b, axis=-1)[..., ::-1]
+    out[..., 1:] += plan.coef * b[..., :0:-1]
+    return out
 
 
 def transform(x: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
@@ -93,47 +130,76 @@ def transform(x: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
 
     Before scaling, index n-i (i = 1..n-1) is i * x[i] - (x[0] + ... + x[i-1]).
     Matches dense_transform(plan) @ x to rounding.  Real input gives real
-    output; complex input is transformed componentwise.
+    output; complex input is transformed componentwise.  x may hold a batch
+    of vectors along its last axis; each comes out bitwise as a 1-D call.
     """
-    arr, plan = _as_vector(x, plan)
-    s = np.cumsum(arr)
-    out = np.empty_like(arr)
-    out[0] = s[-1]
-    rows = out[:0:-1]
-    np.multiply(plan.coef, arr[1:], out=rows)
-    rows -= s[:-1]
-    out *= plan.alpha
-    return out
+    return _forward(*_as_vector(x, plan))
 
 
 def inverse_transform(X: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
     """Inverse in O(n) via the transpose: scale, one cumulative sum, reassemble.
 
     With b = alpha * X and c = cumsum(b): out[i] = 2 b[0] - c[n-1-i] + i b[n-i],
-    the last term absent at i = 0.
+    the last term absent at i = 0.  Batched along the last axis as transform.
     """
-    spectrum, plan = _as_vector(X, plan)
-    b = plan.alpha * spectrum
-    out = 2.0 * b[0] - np.cumsum(b)[::-1]
-    out[1:] += plan.coef * b[:0:-1]
-    return out
+    return _inverse(*_as_vector(X, plan))
 
 
-def spectral_shift(sigma: Permutation, X: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
+def _image_index(sigma: Permutation | np.ndarray, n: int) -> np.ndarray:
+    """0-based gather index of sigma, shape (n,) or (..., n); array rows are validated."""
+    if isinstance(sigma, Permutation):
+        if sigma.n != n:
+            raise ValueError(f"permutation lives in S_{sigma.n}, vector has length {n}")
+        return np.array(sigma.images, dtype=np.intp) - 1
+    images = np.asarray(sigma)
+    if images.dtype.kind not in "iu":
+        raise TypeError(f"permutation images must be integers, got dtype {images.dtype}")
+    if images.ndim == 0 or images.shape[-1] != n:
+        raise ValueError(f"expected image rows of length {n}, got shape {images.shape}")
+    index = images.astype(np.intp) - 1
+    if not np.array_equal(np.sort(index, axis=-1), np.broadcast_to(np.arange(n), index.shape)):
+        raise ValueError(f"image rows must each be a bijection on 1..{n}")
+    return index
+
+
+def spectral_shift(
+    sigma: Permutation | np.ndarray, X: np.ndarray, plan: TransformPlan | None = None
+) -> np.ndarray:
     """Spectrum of the permuted vector: transform(sigma.apply_to_vector(inverse_transform(X))).
 
     The transform is orthogonal, so this is the shift rule 1 (+) D(sigma)^t in
     O(n); yor.standard_irrep_transpose_apply is its reference.  Index 0 is
-    copied from X, and the identity returns an exact copy.
+    copied from X, and the identity returns an exact copy.  sigma is a
+    Permutation or a (..., n) integer array of 1-based image rows, gathered
+    row by row; its leading axes broadcast against those of X.
     """
     spectrum, plan = _as_vector(X, plan)
-    if sigma.n != plan.n:
-        raise ValueError(f"permutation lives in S_{sigma.n}, vector has length {plan.n}")
-    if sigma.images == plan.identity_images:
+    index = _image_index(sigma, plan.n)
+    moved = (index != plan.positions).any(axis=-1)
+    count = np.count_nonzero(moved)
+    if index.ndim > 1:
+        spectrum = np.broadcast_to(spectrum, np.broadcast_shapes(index.shape, spectrum.shape))
+        index = index[(np.newaxis,) * (spectrum.ndim - index.ndim)]
+    if count == 0:
         return spectrum.copy()
-    out = transform(sigma.apply_to_vector(inverse_transform(spectrum, plan)), plan)
-    out[0] = spectrum[0]
+    x = _inverse(spectrum, plan)
+    # One image row gathers every vector alike; take skips take_along_axis' call overhead.
+    gathered = x.take(index, axis=-1) if index.ndim == 1 else np.take_along_axis(x, index, axis=-1)
+    out = _forward(gathered, plan)
+    out[..., 0] = spectrum[..., 0]
+    if count < moved.size:
+        np.copyto(out, spectrum, where=~moved[..., np.newaxis])
     return out
+
+
+def _counted_input(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
+    """One real vector and its plan: the counted schedule bills a single vector."""
+    arr, plan = _as_vector(x, plan)
+    if arr.dtype.kind == "c":
+        raise TypeError("counted transform is defined for real input only")
+    if arr.ndim != 1:
+        raise ValueError(f"counted transform takes one 1-D vector, got shape {arr.shape}")
+    return arr, plan
 
 
 def transform_counted(
@@ -150,11 +216,10 @@ def transform_counted(
     at a time and must agree op for op.
 
     The returned counts cover this call only; a shared counter keeps its
-    running totals on top.
+    running totals on top.  The bill is for one vector, so x must be 1-D
+    and real: a batch raises ValueError, complex input TypeError.
     """
-    if np.iscomplexobj(x):
-        raise TypeError("counted transform is defined for real input only")
-    X = transform(x, plan)
+    X = _forward(*_counted_input(x, plan))
     ops = 2 * X.shape[0] - 2
     if counter is not None:
         counter.mult += ops
@@ -171,10 +236,7 @@ def transform_counted_scalarwise(
     is observed rather than declared.  Slow; used to certify the declared
     counts and on small sizes.
     """
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr):
-        raise TypeError("counted transform is defined for real input only")
-    arr, plan = _as_vector(arr, plan)
+    arr, plan = _counted_input(x, plan)
     counter = counter if counter is not None else OpCounter()
     mult0, add0 = counter.mult, counter.add
     n = plan.n

@@ -233,6 +233,27 @@ def test_verify_json_schema_and_determinism(capsys, monkeypatch):
     assert names and all(c["passed"] for c in payload["suites"][0]["checks"])
 
 
+def test_verify_reports_each_margin(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "all", "--n", "5", "--format", "json"], capsys, monkeypatch
+    )
+    assert code == 0
+    checks = [c for suite in json.loads(out)["suites"] for c in suite["checks"]]
+    assert len(checks) == 15
+    for c in checks:
+        assert c["ratio"] == (c["deviation"] / c["tolerance"] if c["tolerance"] > 0 else 0.0)
+    code, text, _ = run_cli(["verify", "--suite", "all", "--n", "5"], capsys, monkeypatch)
+    margins = re.findall(r"^  PASS .* margin (\S+)$", text, flags=re.M)
+    assert margins == [format(c["ratio"], ".15g") for c in checks]
+    # a tolerance forced below zero leaves no margin: inf in text, null in JSON
+    code, out, _ = run_cli(
+        ["verify", "--suite", "coxeter", "--n", "4", "--tol", "-1", "--format", "json"],
+        capsys,
+        monkeypatch,
+    )
+    assert code == 1 and json.loads(out)["suites"][0]["checks"][0]["ratio"] is None
+
+
 def test_verify_all_suite(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["verify", "--suite", "all", "--n", "4", "--format", "json"], capsys, monkeypatch

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import sys
 import time
@@ -480,3 +481,47 @@ def test_input_validation():
         yor_generator((3, 1), 4)
     with pytest.raises(ValueError):
         verify_translation(lambda s: 0.0, identity(3), 4)
+
+
+def test_translation_sums_equal_the_translate_summed_directly():
+    # f is not lifted, so every shape carries weight; the translate's sums are
+    # gathered from f's values and must equal summing g = f(delta . sigma) itself
+    rng = np.random.default_rng(23)
+    for n in range(3, 7):
+        values = {sigma: float(rng.uniform(-1, 1)) for sigma in enumerate_group(n)}
+        func = values.__getitem__
+        delta = random_permutation(n, rng)
+        direct_f = fourier_full(func, n)
+        direct_g = fourier_full(lambda sigma: func(compose(delta, sigma)), n)
+        sums = oracle._translation_sums(func, delta)
+        assert list(sums) == list(direct_f) == enumerate_partitions(n)
+        for shape, (f_block, g_block) in sums.items():
+            assert f_block.tobytes() == direct_f[shape].tobytes(), (n, shape)
+            assert g_block.tobytes() == direct_g[shape].tobytes(), (n, shape)
+        assert verify_translation(func, delta, n).passed
+
+
+def test_translation_fails_when_the_translate_is_read_at_sigma_delta(monkeypatch):
+    rng = np.random.default_rng(24)
+    n = 4
+    values = {sigma: float(rng.uniform(-1, 1)) for sigma in enumerate_group(n)}
+    delta = Permutation((2, 4, 1, 3))
+    assert verify_translation(values.__getitem__, delta, n).passed
+
+    def right_translate(coset_values, delta):
+        # the defect under test: sigma -> f(sigma . delta) in place of f(delta . sigma)
+        order = [Permutation(w[::-1]) for w in itertools.permutations(range(1, delta.n + 1))]
+        at = dict(zip(order, coset_values))
+        return [at[compose(sigma, delta)] for sigma in order]
+
+    monkeypatch.setattr(oracle, "_translate", right_translate)
+    report = verify_translation(values.__getitem__, delta, n)
+    assert not report.passed and report.max_deviation > 1e-3
+
+
+def test_partitions_are_cached_but_handed_out_fresh():
+    first = enumerate_partitions(5)
+    first.append((99,))
+    assert enumerate_partitions(5) == list(oracle._partitions(5))
+    assert len(enumerate_partitions(5)) == 7
+    assert oracle._partitions(5) is oracle._partitions(5)

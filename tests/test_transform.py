@@ -20,8 +20,11 @@ from permharmonic.transform import (
     inverse_transform,
     spectral_shift,
     transform,
+    transform_counted,
+    transform_counted_scalarwise,
 )
-from permharmonic.yor import standard_irrep
+from permharmonic.verify import shift_check
+from permharmonic.yor import standard_irrep, standard_irrep_transpose_apply
 
 
 def vectors_of_length(n):
@@ -227,11 +230,150 @@ def test_input_validation():
     with pytest.raises(ValueError):
         transform(np.zeros(5), plan)
     with pytest.raises(ValueError):
-        transform(np.zeros((2, 2)))
+        transform(np.zeros(()))
+    batch = np.array([[1.0, 2.0], [3.0, -4.0]])
+    assert np.array_equal(transform(batch), np.stack([transform(row) for row in batch]))
     with pytest.raises(ValueError):
         spectral_shift(Permutation((1, 2, 3)), np.zeros(4))
     with pytest.raises(ValueError):
         inverse_transform(np.zeros(3), plan)
+
+
+def rowwise(call, batch):
+    """call on each 1-D row of batch, stacked back into batch's shape."""
+    rows = batch.reshape(-1, batch.shape[-1])
+    return np.array([call(row) for row in rows]).reshape(batch.shape)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 1024])
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_batched_calls_equal_one_dimensional_calls_bitwise(n, batch, kind):
+    rng = np.random.default_rng([n, len(batch)])
+    x = rng.standard_normal(batch + (n,))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(batch + (n,))
+    x.flat[::7] = -0.0
+    plan = build_plan(n)
+    for call in (transform, inverse_transform):
+        assert_bitwise(call(x, plan), rowwise(lambda row: call(row, plan), x))
+        assert_bitwise(call(x), rowwise(call, x))
+    sigma = random_permutation(n, rng)
+    expected = rowwise(lambda row: spectral_shift(sigma, row, plan), x)
+    assert_bitwise(spectral_shift(sigma, x, plan), expected)
+    rows = [random_permutation(n, rng) for _ in range(max(1, x[..., 0].size))]
+    images = np.reshape([row.images for row in rows], batch + (n,))
+    expected = np.array(
+        [spectral_shift(row, X, plan) for row, X in zip(rows, x.reshape(-1, n))]
+    ).reshape(x.shape)
+    assert_bitwise(spectral_shift(images, x, plan), expected)
+
+
+def test_batched_shift_matches_the_word_product_row_by_row():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 8, 64):
+        images = np.array([rng.permutation(n) + 1 for _ in range(6)])
+        images[2] = np.arange(1, n + 1)  # one identity row
+        spectra = rng.uniform(-1, 1, (6, n))
+        shifted = spectral_shift(images, spectra)
+        for row, spectrum, out in zip(images, spectra, shifted):
+            sigma = Permutation(tuple(row))
+            assert out[0] == spectrum[0]
+            assert shift_check(sigma, spectrum, out).passed
+            word = standard_irrep_transpose_apply(n, sigma, spectrum[1:])
+            assert np.max(np.abs(out[1:] - word)) <= 1e-12
+        assert_bitwise(shifted[2], spectra[2])
+        # leading axes broadcast: many permutations of one spectrum, one of many spectra
+        one_spectrum = spectral_shift(images, spectra[0])
+        assert_bitwise(one_spectrum, spectral_shift(images, np.tile(spectra[0], (6, 1))))
+        sigma = Permutation(tuple(images[0]))
+        one_sigma = spectral_shift(sigma, spectra)
+        assert_bitwise(one_sigma, spectral_shift(np.tile(images[0], (6, 1)), spectra))
+        crossed = spectral_shift(images[:, np.newaxis], spectra[:4])  # (6, 1, n) against (4, n)
+        assert crossed.shape == (6, 4, n)
+        for i, j in np.ndindex(6, 4):
+            assert_bitwise(crossed[i, j], spectral_shift(Permutation(tuple(images[i])), spectra[j]))
+
+
+def test_identity_rows_are_exact_copies():
+    rng = np.random.default_rng(22)
+    spectra = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    identity_rows = np.tile(np.arange(1, 6), (2, 3, 1))
+    out = spectral_shift(identity_rows, spectra)
+    assert out is not spectra and out.tobytes() == spectra.tobytes()
+    out[...] = 0.0
+    assert np.all(spectra != 0.0)
+    assert spectral_shift(identity(5), spectra[0, 0]).tobytes() == spectra[0, 0].tobytes()
+
+
+def test_shift_rejects_invalid_image_rows():
+    spectra = np.zeros((2, 4))
+    good = np.array([[1, 2, 3, 4], [2, 1, 4, 3]])
+    assert spectral_shift(good, spectra).shape == (2, 4)
+    duplicate, zero, past_n = [2, 2, 4, 3], [0, 1, 2, 3], [2, 3, 4, 5]
+    for bad in ([[1, 2, 3, 4], duplicate], [[1, 2, 3, 4], zero], [[1, 2, 3, 4], past_n], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            spectral_shift(np.array(bad), spectra)
+    for bad in (good.astype(float), good.astype(bool), np.array([["1", "2", "3", "4"]])):
+        with pytest.raises(TypeError):
+            spectral_shift(bad, spectra)
+    with pytest.raises(ValueError):
+        spectral_shift(np.array(3), spectra)
+
+
+@pytest.mark.parametrize(
+    "call, takes_complex",
+    [
+        (transform, True),
+        (inverse_transform, True),
+        (lambda x: spectral_shift(Permutation((2, 3, 1)), x), True),
+        (lambda x: transform_counted(x)[0], False),
+    ],
+    ids=["transform", "inverse_transform", "spectral_shift", "transform_counted"],
+)
+def test_dtype_rules(call, takes_complex):
+    values = [1, 0, 3]
+    expected = call(np.array(values, dtype=np.float64))
+    assert expected.dtype == np.float64
+    for dtype in (bool, np.int8, np.int64, np.uint16, np.float16, np.float32):
+        x = np.array(values, dtype=dtype)
+        out = call(x)
+        assert out.dtype == np.float64, dtype
+        assert out.tobytes() == call(x.astype(np.float64)).tobytes(), dtype
+    assert call(values).tobytes() == expected.tobytes()
+    for bad in (
+        np.array(["1", "2", "3"]),
+        np.array([b"1", b"2", b"3"]),
+        np.array([1.0, 2.0, 3.0], dtype=object),
+        np.zeros(3, dtype=[("a", float)]),
+    ):
+        with pytest.raises(TypeError):
+            call(bad)
+    z = np.array([1 + 2j, -1j, 3], dtype=np.complex64)
+    if takes_complex:
+        out = call(z)
+        assert out.dtype == np.complex128
+        assert out.tobytes() == call(z.astype(np.complex128)).tobytes()
+    else:
+        with pytest.raises(TypeError):
+            call(z)
+
+
+def test_counted_transforms_take_one_vector():
+    x = np.array([1.0, 2.0, 4.0])
+    for call in (transform_counted, transform_counted_scalarwise):
+        X, mult, add = call(x)
+        assert (mult, add) == (4, 4)
+        for bad in (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(())):
+            with pytest.raises(ValueError):
+                call(bad)
+        with pytest.raises(TypeError):
+            call(x + 1j)
 
 
 @given(vectors)
