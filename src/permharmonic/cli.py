@@ -24,8 +24,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import verify
 from .oracle import derive_schur_constants, verify_bandlimit
-from .permutations import OracleCapExceeded, from_one_line, oracle_cap
+from .permutations import OracleCapExceeded, from_one_line
 from .transform import (
     build_plan,
     dense_transform,
@@ -34,7 +35,6 @@ from .transform import (
     transform,
     transform_counted,
 )
-from .verify import SUITES, SuiteReport, bandlimit_checks, run_suite, schur_checks, shift_check
 
 
 class CliError(Exception):
@@ -43,6 +43,12 @@ class CliError(Exception):
 
 def _float_str(value: float, digits: int) -> str:
     return format(float(value), f".{digits}g")
+
+
+def _first_non_finite(vec: np.ndarray) -> int | None:
+    """Index of the first NaN or infinity in vec, or None when every entry is finite."""
+    bad = np.flatnonzero(~np.isfinite(vec))
+    return int(bad[0]) if bad.size else None
 
 
 def _join_floats(vec: np.ndarray, digits: int, sep: str) -> str:
@@ -65,9 +71,8 @@ def _to_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        bad = np.flatnonzero(~np.isfinite(obj))
-        if bad.size:
-            raise ValueError(f"non-finite value {float(obj[bad[0]])!r} has no JSON form")
+        if (bad := _first_non_finite(obj)) is not None:
+            raise ValueError(f"non-finite value {float(obj[bad])!r} has no JSON form")
         return "[" + _join_floats(obj, 17, ", ") + "]"
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in obj.items())
@@ -94,19 +99,14 @@ def _read_vector(source: str) -> np.ndarray:
     except ValueError as exc:
         raise CliError(f"cannot parse {source}: {exc}") from exc
     vec = np.array(values)
-    bad = np.flatnonzero(~np.isfinite(vec))
-    if bad.size:
-        raise CliError(f"non-finite value {tokens[bad[0]]!r} at index {bad[0]}")
-    if len(values) < 2:
-        raise CliError(f"need a vector of length >= 2, got {len(values)}")
+    if (bad := _first_non_finite(vec)) is not None:
+        raise CliError(f"non-finite value {tokens[bad]!r} at index {bad}")
     return vec
 
 
 def _require_finite(vec: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(vec))
-    if bad.size:
-        value = float(vec[bad[0]])
-        raise CliError(f"result overflows: non-finite value {value!r} at index {bad[0]}")
+    if (bad := _first_non_finite(vec)) is not None:
+        raise CliError(f"result overflows: non-finite value {float(vec[bad])!r} at index {bad}")
 
 
 def _print_vector(vec: np.ndarray, fmt: str) -> None:
@@ -120,20 +120,19 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.counted and args.inverse:
         raise CliError("--counted applies to the forward transform only")
     x = _read_vector(args.input)
-    plan = build_plan(x.shape[0])
     mult = add = None
     if args.counted:
-        out, mult, add = transform_counted(x, plan)
+        out, mult, add = transform_counted(x)
     elif args.inverse:
-        out = inverse_transform(x, plan)
+        out = inverse_transform(x)
     else:
-        out = transform(x, plan)
+        out = transform(x)
     _require_finite(out)
 
     if args.format == "json":
         payload = {
             "command": "transform",
-            "n": plan.n,
+            "n": x.shape[0],
             "inverse": bool(args.inverse),
             "output": out,
         }
@@ -144,31 +143,21 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     else:
         _print_vector(out, args.format)
         if args.counted:
-            print(_to_json({"n": plan.n, "mult": mult, "add": add}))
+            print(_to_json({"n": x.shape[0], "mult": mult, "add": add}))
     return 0
 
 
-# Largest n for the Theta(n^2) references: shift --check, orthogonality and theorem.
-_CHECK_MAX_N = 4096
-_QUADRATIC_SUITE_MAX_N = 256
-
-
 def _cmd_shift(args: argparse.Namespace) -> int:
-    try:
-        sigma = from_one_line(args.perm)
-    except ValueError as exc:
-        raise CliError(f"invalid permutation {args.perm!r}: {exc}") from exc
-    if args.check and sigma.n > _CHECK_MAX_N:
-        raise CliError(f"--check needs n <= {_CHECK_MAX_N} (Theta(n^2) reference), got {sigma.n}")
+    sigma = from_one_line(args.perm)
+    if args.check:
+        verify.check_shift_n(sigma.n)  # before the vector is read
     x = _read_vector(args.input)
-    if sigma.n != x.shape[0]:
-        raise CliError(f"permutation degree {sigma.n} does not match vector length {x.shape[0]}")
     plan = build_plan(x.shape[0])
     spectrum = transform(x, plan)
     shifted = spectral_shift(sigma, spectrum, plan)
     _require_finite(shifted)
 
-    check = shift_check(sigma, spectrum, shifted) if args.check else None
+    check = verify.shift_check(sigma, spectrum, shifted) if args.check else None
 
     if args.format == "json":
         payload = {
@@ -189,34 +178,23 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     return 1 if check is not None and not check.passed else 0
 
 
-def _apply_tol(reports: list[SuiteReport], tol: float | None) -> list[SuiteReport]:
+def _apply_tol(reports: list[verify.SuiteReport], tol: float | None) -> list[verify.SuiteReport]:
     if tol is None:
         return reports
     return [replace(r, checks=tuple(replace(c, tolerance=tol) for c in r.checks)) for r in reports]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n = args.n
-    suite = args.suite
-    if n < 2:
-        raise CliError(f"verification needs n >= 2, got {n}")
-    if suite in ("orthogonality", "theorem", "all") and n > _QUADRATIC_SUITE_MAX_N:
-        raise CliError(f"suite {suite!r} supports n <= {_QUADRATIC_SUITE_MAX_N}, got {n}")
-    if suite in ("prop1", "schur", "all") and n > oracle_cap():
-        raise CliError(f"suite {suite!r} runs the full-group oracle; n <= {oracle_cap()} required")
-    if suite in ("schur", "all") and n < 3:
-        raise CliError(f"suite {suite!r} needs n >= 3, got {n}")
-
     started = time.perf_counter_ns()
-    reports = _apply_tol(run_suite(suite, n, args.seed), args.tol)
+    reports = _apply_tol(verify.run_suite(args.suite, args.n, args.seed), args.tol)
     elapsed = time.perf_counter_ns() - started
     passed = all(r.passed for r in reports)
 
     if args.format == "json":
         payload = {
             "command": "verify",
-            "suite": suite,
-            "n": n,
+            "suite": args.suite,
+            "n": args.n,
             "seed": args.seed,
             "suites": [
                 {
@@ -252,25 +230,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        f = _read_vector(args.input)
-        n = f.shape[0]
-        source: dict = {"input": args.input}
-    else:
-        n = args.n
-        if n is None:
-            raise CliError("oracle needs --n (with --seed) or --input")
-        rng = np.random.default_rng(args.seed)
-        f = rng.uniform(-1.0, 1.0, n)
-        source = {"seed": args.seed}
-    if n < 3:
-        raise CliError(f"oracle report needs n >= 3, got {n}")
-
+    if args.input is None and args.n is None:
+        raise CliError("oracle needs --n (with --seed) or --input")
+    f = _read_vector(args.input) if args.input is not None else None
+    n = args.n if f is None else f.shape[0]
+    schur = derive_schur_constants(n)  # refuses a bad n before the vector is drawn
+    if f is None:
+        f = np.random.default_rng(args.seed).uniform(-1.0, 1.0, n)
+    source: dict = {"seed": args.seed} if args.input is None else {"input": args.input}
     band = verify_bandlimit(f)
-    schur = derive_schur_constants(n)
     violations = [
         f"{c.name} {c.deviation!r} exceeds tolerance {c.tolerance!r}"
-        for c in bandlimit_checks(band) + schur_checks(schur)
+        for c in verify.bandlimit_checks(band) + verify.schur_checks(schur)
         if not c.passed
     ]
 
@@ -307,8 +278,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(t) for t in args.n_list.split(",") if t]
     except ValueError as exc:
         raise CliError(f"cannot parse --n-list: {exc}") from exc
-    if not sizes or any(n < 2 for n in sizes):
-        raise CliError("--n-list needs integers >= 2")
+    if not sizes:
+        raise CliError("--n-list needs at least one size")
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
 
@@ -383,15 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="also shift by the Young word product 1 (+) D(sigma)^t, Theta(n^2), "
-        f"and report the deviation; refused above n = {_CHECK_MAX_N}",
+        f"and report the deviation; refused above n = {verify.SHIFT_CHECK_MAX_N}",
     )
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(handler=_cmd_shift)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=SUITES + ("all",))
+    p.add_argument("--suite", required=True, choices=verify.SUITES + ("all",))
     p.add_argument(
-        "--n", type=int, required=True, help=f"orthogonality, theorem: n <= {_QUADRATIC_SUITE_MAX_N}"
+        "--n",
+        type=int,
+        required=True,
+        help=f"orthogonality, theorem: n <= {verify.QUADRATIC_SUITE_MAX_N}",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

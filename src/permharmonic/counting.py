@@ -19,10 +19,6 @@ class OpCounter:
         self.mult = 0
         self.add = 0
 
-    def reset(self) -> None:
-        self.mult = 0
-        self.add = 0
-
     def wrap(self, value: float) -> "CountedScalar":
         return CountedScalar(float(value), self)
 

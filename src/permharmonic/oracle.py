@@ -39,12 +39,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permutations import Permutation, check_cap
-from .transform import build_plan, dense_transform
+from .permutations import Permutation, _degree_error, check_cap
+from .transform import _coerced, build_plan, dense_transform
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 Action = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Least n of derive_schur_constants: at n = 2 its two scalars coincide.
+SCHUR_MIN_N = 3
+_TRANSLATION_TOL = 1e-9  # verify_translation's bound on each block's deviation
 
 
 def validate_partition(shape: Partition) -> int:
@@ -190,7 +194,7 @@ def yor_matrix(shape: Partition, sigma: Permutation) -> np.ndarray:
     """Orthogonal matrix of sigma on shape's tableaux: its word's generators applied to I."""
     n = validate_partition(shape)
     if sigma.n != n:
-        raise ValueError(f"permutation lives in S_{sigma.n}, partition sums to {n}")
+        raise _degree_error(sigma, n)
     mat = np.eye(len(_tableaux(shape)))
     actions = _actions(shape)
     for k in reversed(sigma.decompose_adjacent()):
@@ -240,15 +244,16 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
 
     The result is constant on left cosets of the subgroup fixing n, which is
     what makes its Fourier coefficients vanish outside the top two partitions.
+    f is read by the transform's dtype rule, real input only, and copied.
     """
-    arr = np.array(f, dtype=float)
+    arr = np.array(_coerced(f, real=True))
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     n = arr.shape[0]
 
     def lifted(sigma: Permutation) -> float:
         if sigma.n != n:
-            raise ValueError(f"permutation lives in S_{sigma.n}, vector has length {n}")
+            raise _degree_error(sigma, n)
         return float(arr[sigma.images[-1] - 1])
 
     return lifted
@@ -301,7 +306,7 @@ def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition
 
 
 def _lifted_input(f: np.ndarray) -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
+    arr = _coerced(f, real=True)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ValueError(f"expected a 1-D vector of length >= 2, got shape {arr.shape}")
     check_cap(arr.shape[0])
@@ -400,19 +405,18 @@ def _translation_sums(
 
 
 def verify_translation(
-    func: Callable[[Permutation], float], delta: Permutation, n: int, tol: float = 1e-9
+    func: Callable[[Permutation], float], delta: Permutation, n: int
 ) -> TranslationReport:
     """Check the shift rule: g = func(delta . sigma) has G = D(delta)^t F blockwise."""
     if delta.n != n:
-        raise ValueError(f"shift permutation lives in S_{delta.n}, expected S_{n}")
+        raise _degree_error(delta, n)
     deviations: dict[Partition, float] = {}
     for shape, (block, shifted) in _translation_sums(func, delta).items():
         predicted = yor_matrix(shape, delta).T @ block
         deviations[shape] = float(np.max(np.abs(shifted - predicted)))
     max_deviation = max(deviations.values())
-    return TranslationReport(
-        n=n, deviations=deviations, max_deviation=max_deviation, passed=max_deviation <= tol
-    )
+    passed = max_deviation <= _TRANSLATION_TOL
+    return TranslationReport(n=n, deviations=deviations, max_deviation=max_deviation, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -423,8 +427,8 @@ class SchurReport:
     is linear R^n -> R^n; against the transform's transpose it becomes
     diagonal with two scalar blocks whose sizes are detected, not assumed.
     lambda1 scales the mean direction and equals (n-1)! * sqrt(n); lambda2
-    scales the standard block and has no closed form in advance, so it is
-    reported for regression pinning.
+    scales the standard block and equals (n-1)! * sqrt(n/(n-1)); both are
+    measured, and verify.schur_checks compares them with these forms.
     """
 
     n: int
@@ -437,8 +441,8 @@ class SchurReport:
 def derive_schur_constants(n: int) -> SchurReport:
     """Measure the diagonal linking matrix and its two scalar blocks."""
     check_cap(n)
-    if n < 3:
-        raise ValueError(f"scalar-block measurement needs n >= 3, got {n}")
+    if n < SCHUR_MIN_N:
+        raise ValueError(f"scalar-block measurement needs n >= {SCHUR_MIN_N}, got {n}")
     # Column i: leftmost columns of the kept coefficients of the indicator of i+1.
     fmat = np.empty((n, n))
     fmat[0] = _coset_sums((n,))[:, 0, 0]

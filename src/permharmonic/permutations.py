@@ -149,6 +149,11 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
+def _degree_error(sigma: Permutation, n: int) -> ValueError:
+    """The package's one refusal of a permutation that does not live in S_n."""
+    return ValueError(f"permutation has degree {sigma.n}, expected {n}")
+
+
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 

@@ -16,7 +16,8 @@ shape (), and a (..., n) array is transformed row by row, each row bitwise
 as its own 1-D call, through the same one forward and one inverse kernel.
 bool, integer and float input is read as float64 and complex input as
 complex128; other dtypes (strings, bytes, objects, records) raise TypeError.
-The counted transforms bill one vector and take 1-D real input only.
+That rule, _coerced, is the package's one vector coercion.  The counted
+transforms bill one vector and take 1-D real input only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .counting import CountedScalar, OpCounter
-from .permutations import Permutation
+from .permutations import Permutation, _degree_error
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +54,7 @@ class TransformPlan:
 
 def build_plan(n: int) -> TransformPlan:
     if n < 2:
-        raise ValueError(f"transform needs n >= 2, got {n}")
+        raise ValueError(f"need a vector of length >= 2, got {n}")
     k = np.arange(1, n + 1)
     alpha = 1.0 / np.sqrt((n - k + 1.0) * (n - k + 2.0))
     alpha[0] = 1.0 / np.sqrt(n)
@@ -88,23 +89,30 @@ def dense_transform(plan: TransformPlan) -> np.ndarray:
 _COERCED = {"b": np.float64, "i": np.float64, "u": np.float64, "f": np.float64, "c": np.complex128}
 
 
-def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
-    """x as vectors along its last axis, shape (..., n), with a plan for n.
+def _coerced(x: np.ndarray, real: bool = False) -> np.ndarray:
+    """x as float64 (bool, integer, float input) or complex128 (complex input).
 
-    bool, integer and float input becomes float64, complex input complex128;
-    strings, bytes, objects and records raise TypeError.
+    Strings, bytes, objects and records raise TypeError, and so does complex
+    input for the real-only callers: the counted transforms and lifted vectors.
     """
     arr = np.asarray(x)
     dtype = _COERCED.get(arr.dtype.kind)
-    if dtype is None:
-        raise TypeError(f"expected bool, integer, float or complex input, got dtype {arr.dtype}")
+    if dtype is None or (real and dtype is np.complex128):
+        kinds = "bool, integer or float" if real else "bool, integer, float or complex"
+        raise TypeError(f"expected {kinds} input, got dtype {arr.dtype}")
+    return arr.astype(dtype, copy=False)
+
+
+def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
+    """_coerced(x) as vectors along its last axis, shape (..., n), with a plan for n."""
+    arr = _coerced(x)
     if arr.ndim == 0:
         raise ValueError("expected vectors along a last axis, got a 0-d input")
     if plan is None:
         plan = build_plan(arr.shape[-1])
     elif plan.n != arr.shape[-1]:
         raise ValueError(f"plan is for n={plan.n}, vector has length {arr.shape[-1]}")
-    return arr.astype(dtype, copy=False), plan
+    return arr, plan
 
 
 def _forward(arr: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -149,7 +157,7 @@ def _image_index(sigma: Permutation | np.ndarray, n: int) -> np.ndarray:
     """0-based gather index of sigma, shape (n,) or (..., n); array rows are validated."""
     if isinstance(sigma, Permutation):
         if sigma.n != n:
-            raise ValueError(f"permutation lives in S_{sigma.n}, vector has length {n}")
+            raise _degree_error(sigma, n)
         return np.array(sigma.images, dtype=np.intp) - 1
     images = np.asarray(sigma)
     if images.dtype.kind not in "iu":
@@ -194,16 +202,14 @@ def spectral_shift(
 
 def _counted_input(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
     """One real vector and its plan: the counted schedule bills a single vector."""
-    arr, plan = _as_vector(x, plan)
-    if arr.dtype.kind == "c":
-        raise TypeError("counted transform is defined for real input only")
+    arr, plan = _as_vector(_coerced(x, real=True), plan)
     if arr.ndim != 1:
         raise ValueError(f"counted transform takes one 1-D vector, got shape {arr.shape}")
     return arr, plan
 
 
 def transform_counted(
-    x: np.ndarray, plan: TransformPlan | None = None, counter: OpCounter | None = None
+    x: np.ndarray, plan: TransformPlan | None = None
 ) -> tuple[np.ndarray, int, int]:
     """Forward transform plus its exact arithmetic tally: (X, mult, add).
 
@@ -215,20 +221,16 @@ def transform_counted(
     exact 1.0; transform_counted_scalarwise executes the schedule one scalar
     at a time and must agree op for op.
 
-    The returned counts cover this call only; a shared counter keeps its
-    running totals on top.  The bill is for one vector, so x must be 1-D
-    and real: a batch raises ValueError, complex input TypeError.
+    The bill is for one vector, so x must be 1-D and real: a batch raises
+    ValueError, complex input TypeError.
     """
     X = _forward(*_counted_input(x, plan))
     ops = 2 * X.shape[0] - 2
-    if counter is not None:
-        counter.mult += ops
-        counter.add += ops
     return X, ops, ops
 
 
 def transform_counted_scalarwise(
-    x: np.ndarray, plan: TransformPlan | None = None, counter: OpCounter | None = None
+    x: np.ndarray, plan: TransformPlan | None = None
 ) -> tuple[np.ndarray, int, int]:
     """Same schedule as transform_counted, executed over CountedScalar objects.
 
@@ -237,8 +239,7 @@ def transform_counted_scalarwise(
     counts and on small sizes.
     """
     arr, plan = _counted_input(x, plan)
-    counter = counter if counter is not None else OpCounter()
-    mult0, add0 = counter.mult, counter.add
+    counter = OpCounter()
     n = plan.n
 
     xs = [counter.wrap(v) for v in arr]
@@ -255,4 +256,4 @@ def transform_counted_scalarwise(
     xhat.append(xs[1] - s[0])
 
     X = np.array([float(a * h) for a, h in zip(alphas, xhat)])
-    return X, counter.mult - mult0, counter.add - add0
+    return X, counter.mult, counter.add

@@ -18,18 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import BandlimitReport, SchurReport, derive_schur_constants, verify_bandlimit
-from .permutations import Permutation, enumerate_group, random_permutation
-from .transform import (
-    build_plan,
-    dense_transform,
-    inverse_transform,
-    spectral_shift,
-    transform,
+from .oracle import (
+    SCHUR_MIN_N, BandlimitReport, SchurReport, derive_schur_constants, verify_bandlimit
 )
-from .yor import standard_irrep, standard_irrep_transpose_apply, verify_coxeter
+from .permutations import Permutation, check_cap, enumerate_group, random_permutation
+from .transform import (
+    _coerced, build_plan, dense_transform, inverse_transform, spectral_shift, transform
+)
+from .yor import COXETER_N, standard_irrep, standard_irrep_transpose_apply, verify_coxeter
 
-SUITES = ("coxeter", "orthogonality", "theorem", "prop1", "schur")
+# Largest n of the Theta(n^2) references: orthogonality, theorem and shift_check.
+QUADRATIC_SUITE_MAX_N = 256
+SHIFT_CHECK_MAX_N = 4096
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
@@ -61,10 +61,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    @property
-    def max_deviation(self) -> float:
-        return max(check.deviation for check in self.checks)
-
 
 def run_coxeter(n: int) -> SuiteReport:
     """Involution, braid, and distant-commutation relations of the generators."""
@@ -76,15 +72,15 @@ def run_coxeter(n: int) -> SuiteReport:
     )
 
 
-def run_orthogonality(n: int, seed: int = 0, trials: int = 20) -> SuiteReport:
-    """Orthogonality of the transform and the irrep, plus round-trip identities."""
+def run_orthogonality(n: int, seed: int = 0) -> SuiteReport:
+    """Orthogonality of the transform and the irrep, plus round-trip identities, over 20 trials."""
     plan = build_plan(n)
     dense = dense_transform(plan)
     orth = float(np.max(np.abs(dense @ dense.T - np.eye(n))))
 
     rng = np.random.default_rng(seed)
     fast_dense = parseval = roundtrip = inv_dense = irrep_orth = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         x = rng.uniform(-1.0, 1.0, n)
         spectrum = transform(x, plan)
         scale = max(1.0, float(np.max(np.abs(x))))
@@ -115,6 +111,12 @@ def run_orthogonality(n: int, seed: int = 0, trials: int = 20) -> SuiteReport:
     )
 
 
+def check_shift_n(n: int) -> None:
+    """Refuse an n above SHIFT_CHECK_MAX_N, where shift_check's Theta(n^2) word grows too long."""
+    if n > SHIFT_CHECK_MAX_N:
+        raise ValueError(f"shift_check needs n <= {SHIFT_CHECK_MAX_N} (Theta(n^2) word), got {n}")
+
+
 def shift_check(sigma: Permutation, spectrum: np.ndarray, shifted: np.ndarray) -> Check:
     """Deviation of a shifted spectrum from the Young word product 1 (+) D(sigma)^t.
 
@@ -123,12 +125,14 @@ def shift_check(sigma: Permutation, spectrum: np.ndarray, shifted: np.ndarray) -
     the orthogonal maps preserve: 4u per step, for the two roundings of a
     two-term combination and those of its coefficients, over n(n-1)/2 steps
     for the longest word plus n for the O(n) path.  u is the unit roundoff.
+    Both vectors are read by the transform's dtype rule; check_shift_n refuses n first.
     """
     n = sigma.n
-    reference = np.array(spectrum, dtype=float)
+    check_shift_n(n)
+    reference = np.array(_coerced(spectrum))
+    bound = 4 * _UNIT_ROUNDOFF * (n * (n - 1) // 2 + n) * float(np.max(np.abs(reference)))
     reference[1:] = standard_irrep_transpose_apply(n, sigma, reference[1:])
-    deviation = float(np.max(np.abs(shifted - reference)))
-    bound = 4 * _UNIT_ROUNDOFF * (n * (n - 1) // 2 + n) * float(np.max(np.abs(spectrum)))
+    deviation = float(np.max(np.abs(_coerced(shifted) - reference)))
     return Check("shift_word_product", deviation, bound)
 
 
@@ -221,17 +225,28 @@ def run_schur(n: int) -> SuiteReport:
     return SuiteReport(suite="schur", n=n, seed=None, checks=schur_checks(derive_schur_constants(n)))
 
 
+# suite: (runner(n, seed), least n, greatest n); None is the oracle cap, checked by check_cap.
+_SUITES = {
+    "coxeter": (lambda n, seed: run_coxeter(n), COXETER_N[0], COXETER_N[-1]),
+    "orthogonality": (lambda n, seed: run_orthogonality(n, seed), 2, QUADRATIC_SUITE_MAX_N),
+    "theorem": (lambda n, seed: run_theorem(n, seed), 2, QUADRATIC_SUITE_MAX_N),
+    "prop1": (lambda n, seed: run_prop1(n, seed), 2, None),
+    "schur": (lambda n, seed: run_schur(n), SCHUR_MIN_N, None),
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(suite: str, n: int, seed: int = 0) -> list[SuiteReport]:
-    """Run one named suite, or all of them for suite='all'."""
-    runners = {
-        "coxeter": lambda: run_coxeter(n),
-        "orthogonality": lambda: run_orthogonality(n, seed),
-        "theorem": lambda: run_theorem(n, seed),
-        "prop1": lambda: run_prop1(n, seed),
-        "schur": lambda: run_schur(n),
-    }
-    if suite == "all":
-        return [run() for run in runners.values()]
-    if suite not in runners:
+    """Run one named suite, or all of them for suite='all', once n is in every one's range."""
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
-    return [runners[suite]()]
+    names = SUITES if suite == "all" else (suite,)
+    for name in names:
+        _, least, most = _SUITES[name]
+        if most is None:
+            check_cap(n)
+        elif n > most:
+            raise ValueError(f"suite {name!r} supports n <= {most}, got {n}")
+        if n < least:
+            raise ValueError(f"suite {name!r} needs n >= {least}, got {n}")
+    return [_SUITES[name][0](n, seed) for name in names]

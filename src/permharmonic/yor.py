@@ -15,7 +15,11 @@ import math
 
 import numpy as np
 
-from .permutations import Permutation
+from .permutations import Permutation, _degree_error
+from .transform import _coerced
+
+# verify_coxeter's range of n: it multiplies every pair of dense (n-1) x (n-1) generators.
+COXETER_N = range(2, 65)
 
 
 def transposition_block(k: int) -> np.ndarray:
@@ -68,7 +72,7 @@ def standard_irrep(n: int, sigma: Permutation) -> np.ndarray:
     word gives the same matrix) and orthogonal.
     """
     if sigma.n != n:
-        raise ValueError(f"permutation lives in S_{sigma.n}, expected S_{n}")
+        raise _degree_error(sigma, n)
     if n < 2:
         raise ValueError(f"standard irreducible needs n >= 2, got {n}")
     mat = np.eye(n - 1)
@@ -84,19 +88,19 @@ def standard_irrep_transpose_apply(n: int, sigma: Permutation, v: np.ndarray) ->
     product applied left to right along the word.  Building the word costs
     Theta(n^2); this is the reference that transform.spectral_shift is
     checked against, in the tests, the theorem suite and `shift --check`.
-    The letters update a list of Python numbers, which rounds as float64
-    (complex128) arithmetic does, without numpy's per-scalar overhead.
+    v is read by the transform's dtype rule.  The letters update a list of
+    Python numbers, which rounds as float64 (complex128) arithmetic does,
+    without numpy's per-scalar overhead.
     """
     if sigma.n != n:
-        raise ValueError(f"permutation lives in S_{sigma.n}, expected S_{n}")
-    out = np.asarray(v)
+        raise _degree_error(sigma, n)
+    out = _coerced(v)
     if out.ndim != 1 or out.shape[0] != n - 1:
         raise ValueError(f"expected a vector of length {n - 1}, got shape {out.shape}")
-    dtype = np.complex128 if np.iscomplexobj(out) else np.float64
-    values = out.astype(dtype).tolist()
+    values = out.tolist()
     for k in sigma.decompose_adjacent():
         _left_apply_generator(n, k, values)
-    return np.array(values, dtype)
+    return np.array(values, out.dtype)
 
 
 def verify_coxeter(n: int) -> float:
@@ -105,8 +109,8 @@ def verify_coxeter(n: int) -> float:
     Checks G_k^2 = I, the braid relation G_k G_{k+1} G_k = G_{k+1} G_k G_{k+1},
     and commutation G_k G_j = G_j G_k for |k - j| >= 2.
     """
-    if not 2 <= n <= 64:
-        raise ValueError(f"verify_coxeter supports 2 <= n <= 64, got {n}")
+    if n not in COXETER_N:
+        raise ValueError(f"verify_coxeter supports {COXETER_N[0]} <= n <= {COXETER_N[-1]}, got {n}")
     gens = [standard_irrep_generator(n, k) for k in range(1, n)]
     eye = np.eye(n - 1)
     dev = 0.0

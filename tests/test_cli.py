@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from permharmonic import cli
+from permharmonic import cli, verify
 from permharmonic.cli import main
 from permharmonic.permutations import Permutation
 from permharmonic.transform import build_plan, inverse_transform, spectral_shift, transform
@@ -177,9 +177,10 @@ def test_shift_check_fails_on_a_wrong_shift_rule(capsys, monkeypatch):
 
 def test_quadratic_references_are_refused_above_their_limits(capsys, monkeypatch):
     # shift --check allows n <= 4096; orthogonality and theorem allow n <= 256.
-    # The refusal comes before any transform or suite runs.
+    # The refusal comes before any transform or suite runner runs.
     monkeypatch.setattr(cli, "transform", lambda *args: pytest.fail("transform ran"))
-    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("suite ran"))
+    for runner in ("run_coxeter", "run_orthogonality", "run_theorem", "run_prop1", "run_schur"):
+        monkeypatch.setattr(verify, runner, lambda *args: pytest.fail("suite ran"))
     perm = " ".join(str(v) for v in range(4097, 0, -1))
     code, out, err = run_cli(
         ["shift", "--perm", perm, "--check"], capsys, monkeypatch, stdin="1 " * 4097

@@ -199,7 +199,9 @@ def test_yor_matrix_homomorphism():
 def test_lift_examples():
     constant = lift(np.full(4, 2.5))
     assert all(constant(sigma) == 2.5 for sigma in enumerate_group(4))
-    f = lift(np.array([10.0, 20.0, 30.0]))
+    values = np.array([10.0, 20.0, 30.0])
+    f = lift(values)
+    values[0] = -1.0  # lift reads its own copy
     assert f(Permutation((2, 3, 1))) == 10.0  # sigma(3) = 1
 
 

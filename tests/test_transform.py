@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permharmonic.oracle import fourier_standard_block, lift, verify_bandlimit
 from permharmonic.permutations import (
     Permutation,
     adjacent_transposition,
@@ -223,6 +224,8 @@ def test_complex_input_componentwise():
     lhs = transform(sigma.apply_to_vector(z))
     rhs = spectral_shift(sigma, spectrum)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+    assert shift_check(sigma, spectrum, rhs).passed
+    assert not shift_check(sigma, spectrum, spectral_shift(sigma.inverse(), spectrum)).passed
 
 
 def test_input_validation():
@@ -326,17 +329,49 @@ def test_shift_rejects_invalid_image_rows():
         spectral_shift(np.array(3), spectra)
 
 
+def lifted_values(x):
+    return np.array([lift(x)(sigma) for sigma in enumerate_group(3)])
+
+
+def bandlimit_values(x):
+    report = verify_bandlimit(x)
+    return np.array(
+        [report.bound, report.off_band_max, report.tail_max, *report.block_norms.values()]
+    )
+
+
+def shift_check_values(x):
+    check = shift_check(Permutation((2, 3, 1)), x, x)
+    return np.array([check.deviation, check.tolerance])
+
+
+# Each entry point and the dtype its result has for complex input; None: complex raises TypeError.
 @pytest.mark.parametrize(
-    "call, takes_complex",
+    "call, complex_out",
     [
-        (transform, True),
-        (inverse_transform, True),
-        (lambda x: spectral_shift(Permutation((2, 3, 1)), x), True),
-        (lambda x: transform_counted(x)[0], False),
+        (transform, np.complex128),
+        (inverse_transform, np.complex128),
+        (lambda x: spectral_shift(Permutation((2, 3, 1)), x), np.complex128),
+        (lambda x: transform_counted(x)[0], None),
+        (lifted_values, None),
+        (bandlimit_values, None),
+        (fourier_standard_block, None),
+        (lambda v: standard_irrep_transpose_apply(4, Permutation((2, 4, 1, 3)), v), np.complex128),
+        (shift_check_values, np.float64),
     ],
-    ids=["transform", "inverse_transform", "spectral_shift", "transform_counted"],
+    ids=[
+        "transform",
+        "inverse_transform",
+        "spectral_shift",
+        "transform_counted",
+        "lift",
+        "verify_bandlimit",
+        "fourier_standard_block",
+        "standard_irrep_transpose_apply",
+        "shift_check",
+    ],
 )
-def test_dtype_rules(call, takes_complex):
+def test_dtype_rules(call, complex_out):
     values = [1, 0, 3]
     expected = call(np.array(values, dtype=np.float64))
     assert expected.dtype == np.float64
@@ -355,9 +390,9 @@ def test_dtype_rules(call, takes_complex):
         with pytest.raises(TypeError):
             call(bad)
     z = np.array([1 + 2j, -1j, 3], dtype=np.complex64)
-    if takes_complex:
+    if complex_out is not None:
         out = call(z)
-        assert out.dtype == np.complex128
+        assert out.dtype == complex_out
         assert out.tobytes() == call(z.astype(np.complex128)).tobytes()
     else:
         with pytest.raises(TypeError):

@@ -1,6 +1,14 @@
 import numpy as np
+import pytest
 
-from permharmonic.permutations import compose, enumerate_group, random_permutation
+from permharmonic import verify
+from permharmonic.permutations import (
+    ORACLE_CAP_ENV,
+    Permutation,
+    compose,
+    enumerate_group,
+    random_permutation,
+)
 from permharmonic.transform import build_plan, spectral_shift, transform
 from permharmonic.verify import Check, _ratio, run_suite, run_theorem, shift_check
 
@@ -49,3 +57,28 @@ def test_batched_theorem_suite_equals_the_looped_checks():
         report = run_theorem(n, seed, trials)
         assert report.passed
         assert tuple(check.deviation for check in report.checks) == looped_theorem(n, seed, trials)
+
+
+def test_run_suite_refuses_before_any_suite_runs(monkeypatch):
+    for runner in ("run_coxeter", "run_orthogonality", "run_theorem", "run_prop1", "run_schur"):
+        monkeypatch.setattr(verify, runner, lambda *args: pytest.fail("a suite ran"))
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+    cases = [
+        ("orthogonality", 257, "n <= 256"),
+        ("theorem", 257, "n <= 256"),
+        ("coxeter", 65, "n <= 64"),
+        ("all", 9, "oracle cap 8"),
+        ("all", 2, "'schur' needs n >= 3"),
+        ("schur", 2, "n >= 3"),
+    ]
+    for suite, n, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_suite(suite, n)
+
+
+def test_shift_check_refuses_before_building_a_word(monkeypatch):
+    monkeypatch.setattr(Permutation, "decompose_adjacent", lambda self: pytest.fail("word built"))
+    sigma = Permutation(tuple(range(4097, 0, -1)))
+    spectrum = np.zeros(4097)
+    with pytest.raises(ValueError, match="n <= 4096"):
+        shift_check(sigma, spectrum, spectrum)
