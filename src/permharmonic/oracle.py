@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permutations import Permutation, _degree_error, check_cap
+from .permutations import Permutation, _degree_error, adjacent_transposition, check_cap
 from .transform import _coerced, build_plan, dense_transform
 
 Partition = tuple[int, ...]
@@ -182,12 +182,7 @@ def yor_generator(shape: Partition, k: int) -> np.ndarray:
     entry pairing the two tableaux is sqrt(1 - 1/r^2).  Every other entry is
     zero.  A fresh dense array on each call, kept as a reference.
     """
-    n = validate_partition(shape)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"generator index must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    mat = np.eye(len(_tableaux(shape)))
-    _act(_actions(shape)[k - 1], mat)
-    return mat
+    return yor_matrix(shape, adjacent_transposition(validate_partition(shape), k))
 
 
 def yor_matrix(shape: Partition, sigma: Permutation) -> np.ndarray:

@@ -123,23 +123,14 @@ class Permutation:
         """An adjacent-transposition word (k_1, ..., k_m) whose product is sigma.
 
         Evaluating tau_{k_1} * tau_{k_2} * ... * tau_{k_m} under the composition
-        convention reproduces sigma.  Deterministic bubble-sort construction;
-        the word length equals the inversion count, so it never exceeds n(n-1)/2.
+        convention reproduces sigma.  The letters are _sort_rounds' swaps in order:
+        a reduced word, as long as the inversion count, at most n(n-1)/2.
 
         >>> Permutation((3, 2, 1)).decompose_adjacent()
         (1, 2, 1)
         """
-        w = list(self.images)
-        swaps: list[int] = []
-        changed = True
-        while changed:
-            changed = False
-            for j in range(len(w) - 1):
-                if w[j] > w[j + 1]:
-                    w[j], w[j + 1] = w[j + 1], w[j]
-                    swaps.append(j + 1)
-                    changed = True
-        return tuple(reversed(swaps))
+        _, j = np.nonzero([*_sort_rounds(np.array(self.images, dtype=np.intp) - 1)])
+        return tuple((j + 1).tolist())
 
     def one_line(self) -> str:
         """One-line text form, e.g. '2 3 1'."""
@@ -147,6 +138,26 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
+
+
+def _sort_rounds(index: np.ndarray) -> Iterator[np.ndarray]:
+    """Odd-even transposition sort of the inverses of 0-based image rows (..., n).
+
+    Yields a (..., n-1) swap mask per round until every row is sorted, at most
+    n rounds: round r swaps each pair (j, j+1), j = r mod 2, set in its mask.
+    Each swap removes one inversion, so the letters j + 1, round by round, are
+    a reduced word of sigma (Knuth, TAOCP vol. 3, 5.3.4).
+    """
+    n = index.shape[-1]
+    rows = np.argsort(index, axis=-1)
+    for r in range(n):
+        left, right = rows[..., r % 2 : n - 1 : 2], rows[..., r % 2 + 1 :: 2]
+        mask = np.zeros_like(rows[..., 1:], dtype=bool)
+        mask[..., r % 2 :: 2] = left > right
+        left[...], right[...] = np.minimum(left, right), np.maximum(left, right)
+        yield mask
+        if not np.count_nonzero(rows[..., 1:] < rows[..., :-1]):
+            return
 
 
 def _degree_error(sigma: Permutation, n: int) -> ValueError:

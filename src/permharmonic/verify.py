@@ -117,22 +117,27 @@ def check_shift_n(n: int) -> None:
         raise ValueError(f"shift_check needs n <= {SHIFT_CHECK_MAX_N} (Theta(n^2) word), got {n}")
 
 
-def shift_check(sigma: Permutation, spectrum: np.ndarray, shifted: np.ndarray) -> Check:
-    """Deviation of a shifted spectrum from the Young word product 1 (+) D(sigma)^t.
+def shift_check(sigma: Permutation | np.ndarray, spectrum: np.ndarray, shifted: np.ndarray) -> Check:
+    """Deviation of shifted spectra from the Young word product 1 (+) D(sigma)^t.
 
     The tolerance is a first-order float64 bound (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3) at the spectrum's scale, which
+    Stability of Numerical Algorithms, ch. 3) at the spectra's scale, which
     the orthogonal maps preserve: 4u per step, for the two roundings of a
     two-term combination and those of its coefficients, over n(n-1)/2 steps
     for the longest word plus n for the O(n) path.  u is the unit roundoff.
-    Both vectors are read by the transform's dtype rule; check_shift_n refuses n first.
+    sigma is read as in spectral_shift, both (..., n) arrays of one shape by
+    the transform's dtype rule; check_shift_n refuses n first.
     """
-    n = sigma.n
+    n = sigma.n if isinstance(sigma, Permutation) else np.atleast_1d(sigma).shape[-1]
     check_shift_n(n)
-    reference = np.array(_coerced(spectrum))
-    bound = 4 * _UNIT_ROUNDOFF * (n * (n - 1) // 2 + n) * float(np.max(np.abs(reference)))
-    reference[1:] = standard_irrep_transpose_apply(n, sigma, reference[1:])
-    deviation = float(np.max(np.abs(_coerced(shifted) - reference)))
+    spectrum, shifted = _coerced(spectrum), _coerced(shifted)
+    if spectrum.shape != shifted.shape or spectrum.shape[-1:] != (n,):
+        shapes = f"spectrum shape {spectrum.shape} and shifted shape {shifted.shape}"
+        raise ValueError(f"{shapes} must be equal, with last axis n = {n}")
+    bound = 4 * _UNIT_ROUNDOFF * (n * (n - 1) // 2 + n) * float(np.max(np.abs(spectrum), initial=0.0))
+    reference = np.array(spectrum)
+    reference[..., 1:] = standard_irrep_transpose_apply(n, sigma, spectrum[..., 1:])
+    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))
     return Check("shift_word_product", deviation, bound)
 
 
@@ -142,7 +147,7 @@ def run_theorem(n: int, seed: int = 0, trials: int = 500) -> SuiteReport:
     The reference is yor's generator word, not spectral_shift, which goes
     through the transform itself.  Exhaustive over the group for n <= 5
     (fresh random vector per element), random (permutation, vector) pairs above.
-    All pairs are drawn first, then transformed in one batched call per side.
+    All pairs are drawn first, then transformed and checked in one batched call each.
     """
     plan = build_plan(n)
     rng = np.random.default_rng(seed)
@@ -153,15 +158,11 @@ def run_theorem(n: int, seed: int = 0, trials: int = 500) -> SuiteReport:
         name = "equivariance_random"
         sigmas = (random_permutation(n, rng) for _ in range(trials))
     # Drawn lazily: each permutation, then its vector.
-    pairs = [(sigma, rng.uniform(-1.0, 1.0, n)) for sigma in sigmas]
+    pairs = [(sigma.images, rng.uniform(-1.0, 1.0, n)) for sigma in sigmas]
     x = np.reshape([vector for _, vector in pairs], (-1, n))
-    index = np.array([sigma.images for sigma, _ in pairs], dtype=np.intp).reshape(-1, n) - 1
-    spectra = transform(x, plan)
-    shifted = transform(np.take_along_axis(x, index, axis=-1), plan)
-    dev = max(
-        (shift_check(sigma, *rows).deviation for (sigma, _), *rows in zip(pairs, spectra, shifted)),
-        default=0.0,
-    )
+    images = np.array([images for images, _ in pairs], dtype=np.intp).reshape(-1, n)
+    shifted = transform(np.take_along_axis(x, images - 1, axis=-1), plan)
+    dev = shift_check(images, transform(x, plan), shifted).deviation
 
     # Image rows of sigma and delta, then a vector, per trial, as random_permutation
     # draws them; compose(sigma, delta) reads sigma's images at delta's.

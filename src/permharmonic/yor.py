@@ -3,10 +3,10 @@
 Generators are nearly-identity: the first adjacent transposition acts as
 diag(1, ..., 1, -1), and each later one mixes just two coordinates through a
 symmetric 2x2 block.  Arbitrary group elements are evaluated as generator
-products along an adjacent-transposition word, in the homomorphism order
-D(a * b) = D(a) D(b).  Words have up to n(n-1)/2 letters, so this module is
-the shift rule's reference: transform.spectral_shift applies 1 (+) D(sigma)^t
-in O(n) through the orthogonal transform and is tested against it.
+products along a reduced adjacent-transposition word, in the homomorphism
+order D(a * b) = D(a) D(b).  A word has one letter per inversion, up to
+n(n-1)/2, so this module is the shift rule's reference: spectral_shift
+applies 1 (+) D(sigma)^t in O(n) through the transform and is tested against it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .permutations import Permutation, _degree_error
-from .transform import _coerced
+from .permutations import Permutation, _degree_error, _sort_rounds, adjacent_transposition
+from .transform import _coerced, _image_index
 
 # verify_coxeter's range of n: it multiplies every pair of dense (n-1) x (n-1) generators.
 COXETER_N = range(2, 65)
@@ -42,13 +42,7 @@ def standard_irrep_generator(n: int, k: int) -> np.ndarray:
     frame carrying transposition_block(k) at rows/columns n-k, n-k+1 (1-based).
     Always symmetric and orthogonal.
     """
-    if n < 2:
-        raise ValueError(f"standard irreducible needs n >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"generator index must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    mat = np.eye(n - 1)
-    _left_apply_generator(n, k, mat)
-    return mat
+    return standard_irrep(n, adjacent_transposition(n, k))
 
 
 def _left_apply_generator(n: int, k: int, target: np.ndarray | list) -> None:
@@ -81,26 +75,34 @@ def standard_irrep(n: int, sigma: Permutation) -> np.ndarray:
     return mat
 
 
-def standard_irrep_transpose_apply(n: int, sigma: Permutation, v: np.ndarray) -> np.ndarray:
-    """D(sigma)^t v without forming the matrix, one 2x2 block per letter.
+def standard_irrep_transpose_apply(n: int, sigma: Permutation | np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D(sigma)^t v without forming the matrix, one numpy step per sort round.
 
     Generators are symmetric, so the transpose is the reversed generator
-    product applied left to right along the word.  Building the word costs
-    Theta(n^2); this is the reference that transform.spectral_shift is
-    checked against, in the tests, the theorem suite and `shift --check`.
-    v is read by the transform's dtype rule.  The letters update a list of
-    Python numbers, which rounds as float64 (complex128) arithmetic does,
-    without numpy's per-scalar overhead.
+    product applied left to right along the word.  sigma is read as in
+    spectral_shift, v as (..., n-1) vectors by the transform's dtype rule.
+    A round's letters are disjoint: its 2x2 blocks update strided pairs at
+    once, each by _left_apply_generator's arithmetic.  This Theta(n^2) product
+    is spectral_shift's reference in the tests, the theorem suite and `shift --check`.
     """
-    if sigma.n != n:
-        raise _degree_error(sigma, n)
-    out = _coerced(v)
-    if out.ndim != 1 or out.shape[0] != n - 1:
-        raise ValueError(f"expected a vector of length {n - 1}, got shape {out.shape}")
-    values = out.tolist()
-    for k in sigma.decompose_adjacent():
-        _left_apply_generator(n, k, values)
-    return np.array(values, out.dtype)
+    index = _image_index(sigma, n)
+    v = _coerced(v)
+    if v.ndim == 0 or v.shape[-1] != n - 1:
+        raise ValueError(f"expected vectors of length {n - 1}, got shape {v.shape}")
+    out = np.array(np.broadcast_to(v, np.broadcast_shapes(index.shape[:-1] + v.shape[-1:], v.shape)))
+    # Pair r, r + 1 is letter n - 1 - r >= 2, at mask index n - 2 - r; tau_1 owns the last one.
+    c = 1.0 / np.arange(n - 1.0, 1.0, -1.0)
+    s = np.sqrt(1.0 - c * c)
+    with np.errstate(invalid="ignore", over="ignore"):  # IEEE results, as Python floats give
+        for step, mask in enumerate(_sort_rounds(index)):
+            q = (n - step) % 2  # the round's pairs are r = q, q + 2, ...
+            top, bottom = out[..., q : n - 2 : 2], out[..., q + 1 :: 2]
+            swap = mask[..., n - 2 - q : 0 : -2]
+            new_top = -c[q::2] * top + s[q::2] * bottom
+            np.copyto(bottom, s[q::2] * top + c[q::2] * bottom, where=swap)
+            np.copyto(top, new_top, where=swap)
+            np.copyto(out[..., n - 2 :], -out[..., n - 2 :], where=mask[..., :1])
+    return out
 
 
 def verify_coxeter(n: int) -> float:

@@ -20,6 +20,7 @@ from permharmonic.permutations import (
     oracle_cap,
     random_permutation,
 )
+from permharmonic.permutations import _sort_rounds
 
 permutations_of = lambda n: st.permutations(list(range(1, n + 1))).map(
     lambda imgs: Permutation(tuple(imgs))
@@ -135,6 +136,14 @@ def test_decompose_adjacent_round_trip_exhaustive():
             assert len(word) <= bound
             assert all(1 <= k <= n - 1 for k in word)
             assert evaluate_word(n, word) == sigma
+            # reduced: one letter per inversion
+            images = sigma.images
+            assert len(word) == sum(a > b for i, a in enumerate(images) for b in images[i + 1 :])
+            # the word is the rounds' letters in order; each round's are of one parity, 2+ apart
+            rounds = [np.flatnonzero(mask) + 1 for mask in _sort_rounds(np.array(images) - 1)]
+            assert word == tuple(k for letters in rounds for k in letters.tolist())
+            for letters in rounds:
+                assert len(set(letters % 2)) <= 1 and np.all(np.diff(letters) >= 2)
 
 
 def test_decompose_adjacent_round_trip_random():

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from permharmonic import verify
+from permharmonic import verify, yor
 from permharmonic.permutations import (
     ORACLE_CAP_ENV,
     Permutation,
@@ -77,8 +79,57 @@ def test_run_suite_refuses_before_any_suite_runs(monkeypatch):
 
 
 def test_shift_check_refuses_before_building_a_word(monkeypatch):
-    monkeypatch.setattr(Permutation, "decompose_adjacent", lambda self: pytest.fail("word built"))
+    monkeypatch.setattr(yor, "_sort_rounds", lambda index: pytest.fail("word built"))
     sigma = Permutation(tuple(range(4097, 0, -1)))
     spectrum = np.zeros(4097)
     with pytest.raises(ValueError, match="n <= 4096"):
         shift_check(sigma, spectrum, spectrum)
+    sigma = Permutation((2, 1, 3, 4))
+    cases = [
+        (np.zeros(5), np.zeros(5), r"spectrum shape \(5,\) and shifted shape \(5,\)"),
+        (np.zeros((3, 4)), np.zeros(4), r"spectrum shape \(3, 4\) and shifted shape \(4,\)"),
+        (np.zeros(4), np.zeros((3, 4)), r"spectrum shape \(4,\) and shifted shape \(3, 4\)"),
+    ]
+    for spectrum, shifted, shapes in cases:
+        with pytest.raises(ValueError, match=shapes + ".* n = 4"):
+            shift_check(sigma, spectrum, shifted)
+        with pytest.raises(ValueError, match=shapes + ".* n = 4"):
+            shift_check(np.array([sigma.images] * 3), spectrum, shifted)
+
+
+def test_shift_check_takes_batches():
+    n, plan = 7, build_plan(7)
+    rng = np.random.default_rng(8)
+    sigmas = [random_permutation(n, rng) for _ in range(4)]
+    x = rng.uniform(-1.0, 1.0, (4, n)) * np.array([[1.0], [1e-3], [10.0], [0.5]])
+    spectra = transform(x, plan)
+    rows = np.array([sigma.images for sigma in sigmas])
+    shifted = spectral_shift(rows, spectra, plan)
+    checks = [shift_check(*case) for case in zip(sigmas, spectra, shifted)]
+    batched = shift_check(rows, spectra, shifted)
+    assert batched.deviation == max(check.deviation for check in checks)
+    assert batched.tolerance == max(check.tolerance for check in checks)
+    # one permutation against a batch of spectra
+    one = shift_check(sigmas[0], spectra, spectral_shift(sigmas[0], spectra, plan))
+    assert one.passed and one.tolerance == batched.tolerance
+    assert shift_check(rows[:0], spectra[:0], shifted[:0]) == Check("shift_word_product", 0.0, 0.0)
+
+
+def test_shift_check_at_n4096_under_2s():
+    n = 4096
+    sigma = Permutation(tuple(range(n, 0, -1)))
+    spectrum = transform(np.random.default_rng(9).uniform(-1.0, 1.0, n))
+    shifted = spectral_shift(sigma, spectrum)
+    started = time.perf_counter()
+    check = shift_check(sigma, spectrum, shifted)
+    elapsed = time.perf_counter() - started
+    assert check.passed
+    assert elapsed < 2.0, f"shift_check took {elapsed:.3f}s on the longest word at n=4096, budget 2s"
+
+
+def test_theorem_suite_at_n256_under_2s():
+    started = time.perf_counter()
+    report = run_theorem(256)
+    elapsed = time.perf_counter() - started
+    assert report.passed
+    assert elapsed < 2.0, f"run_theorem took {elapsed:.3f}s at n=256, budget 2s"

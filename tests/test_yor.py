@@ -12,6 +12,7 @@ from permharmonic.permutations import (
     random_permutation,
 )
 from permharmonic.yor import (
+    _left_apply_generator,
     standard_irrep,
     standard_irrep_generator,
     standard_irrep_transpose_apply,
@@ -133,26 +134,81 @@ def test_irrep_subgroup_reduction():
             assert np.max(np.abs(mat[:, 0] - e1)) <= 1e-12
 
 
-def test_transpose_apply_matches_matrix():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(2, 12))
-        sigma = random_permutation(n, rng)
-        v = rng.uniform(-1, 1, n - 1)
-        fast = standard_irrep_transpose_apply(n, sigma, v)
-        dense = standard_irrep(n, sigma).T @ v
-        assert np.max(np.abs(fast - dense)) <= 1e-12
+def letter_loop(n, sigma, v):
+    """D(sigma)^t v one letter at a time over Python numbers, along decompose_adjacent()."""
+    values = v.tolist()
+    for k in sigma.decompose_adjacent():
+        _left_apply_generator(n, k, values)
+    return np.array(values, dtype=v.dtype)
 
 
-def test_transpose_apply_complex():
-    rng = np.random.default_rng(4)
-    for n in range(2, 13):
-        sigma = random_permutation(n, rng)
-        v = rng.uniform(-1, 1, n - 1) + 1j * rng.uniform(-1, 1, n - 1)
-        got = standard_irrep_transpose_apply(n, sigma, v)
-        assert got.dtype == np.complex128
-        want = standard_irrep(n, sigma).T @ v
-        assert np.max(np.abs(got - want)) <= 1e-12, n
+def assert_bitwise(got, want):
+    """Equal values and NaN positions, and equal signs wherever the value is not NaN.
+
+    IEEE 754 leaves the sign of a NaN result unspecified, and numpy's loops
+    and CPython pick different operands' NaNs when both are NaN.
+    """
+    got, want = (np.asarray(a)[..., np.newaxis].view(np.float64) for a in (got, want))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got) & ~np.isnan(got), np.signbit(want) & ~np.isnan(want))
+
+
+NON_FINITE = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -0.5])
+
+
+def uniform(rng, shape):
+    return rng.uniform(-1, 1, shape)
+
+
+def non_finite(rng, shape):
+    return rng.choice(NON_FINITE, shape)
+
+
+def transpose_cases(case, rng):
+    """(n, permutations, draw of their vectors' parts, batched): one vector per permutation."""
+    if case == "random":
+        for n in range(2, 13):
+            yield n, [random_permutation(n, rng) for _ in range(5)], uniform, False
+    elif case == "reversed64":
+        yield 64, [Permutation(tuple(range(64, 0, -1)))], uniform, False
+    elif case == "batch5":
+        for n in (2, 3, 9, 16):
+            yield n, [random_permutation(n, rng) for _ in range(5)], uniform, True
+    else:
+        yield 3, [Permutation((3, 2, 1))], lambda rng, shape: np.array([[1.0, np.inf]]), False
+        for n in (2, 3, 5, 8, 12):
+            yield n, [random_permutation(n, rng) for _ in range(5)], non_finite, True
+
+
+def check_transpose_case(case, dtype, seed):
+    rng = np.random.default_rng(seed)
+    for n, sigmas, draw, batched in transpose_cases(case, rng):
+        v = np.empty((len(sigmas), n - 1), dtype)
+        v.real = draw(rng, v.shape)
+        if dtype == np.complex128:
+            v.imag = draw(rng, v.shape)
+        if batched:
+            got = standard_irrep_transpose_apply(n, np.array([s.images for s in sigmas]), v)
+        else:
+            got = np.array([standard_irrep_transpose_apply(n, s, row) for s, row in zip(sigmas, v)])
+        assert got.dtype == dtype and got.shape == v.shape
+        for sigma, row, out in zip(sigmas, v, got):
+            assert_bitwise(out, letter_loop(n, sigma, row))
+            if np.all(np.isfinite(row)):
+                assert np.max(np.abs(out - standard_irrep(n, sigma).T @ row)) <= 1e-12, n
+
+
+CASES = ("random", "reversed64", "batch5", "non_finite")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_transpose_apply_matches_matrix(case):
+    check_transpose_case(case, np.float64, 3)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_transpose_apply_complex(case):
+    check_transpose_case(case, np.complex128, 4)
 
 
 def test_transpose_apply_longest_word():
