@@ -405,9 +405,12 @@ def verify_translation(
     """Check the shift rule: g = func(delta . sigma) has G = D(delta)^t F blockwise."""
     if delta.n != n:
         raise _degree_error(delta, n)
+    word = delta.decompose_adjacent()
     deviations: dict[Partition, float] = {}
     for shape, (block, shifted) in _translation_sums(func, delta).items():
-        predicted = yor_matrix(shape, delta).T @ block
+        predicted, actions = block.copy(), _actions(shape)
+        for k in word:  # D(delta)^t: the word's symmetric generators, first letter first
+            _act(actions[k - 1], predicted)
         deviations[shape] = float(np.max(np.abs(shifted - predicted)))
     max_deviation = max(deviations.values())
     passed = max_deviation <= _TRANSLATION_TOL

@@ -116,8 +116,7 @@ class Permutation:
         arr = np.asarray(x)
         if arr.ndim != 1 or arr.shape[0] != self.n:
             raise ValueError(f"expected a vector of length {self.n}, got shape {arr.shape}")
-        idx = np.array(self.images, dtype=np.intp) - 1
-        return arr[idx]
+        return arr[_image_index(self, self.n)]
 
     def decompose_adjacent(self) -> tuple[int, ...]:
         """An adjacent-transposition word (k_1, ..., k_m) whose product is sigma.
@@ -129,7 +128,7 @@ class Permutation:
         >>> Permutation((3, 2, 1)).decompose_adjacent()
         (1, 2, 1)
         """
-        _, j = np.nonzero([*_sort_rounds(np.array(self.images, dtype=np.intp) - 1)])
+        _, j = np.nonzero([*_sort_rounds(_image_index(self, self.n))])
         return tuple((j + 1).tolist())
 
     def one_line(self) -> str:
@@ -163,6 +162,23 @@ def _sort_rounds(index: np.ndarray) -> Iterator[np.ndarray]:
 def _degree_error(sigma: Permutation, n: int) -> ValueError:
     """The package's one refusal of a permutation that does not live in S_n."""
     return ValueError(f"permutation has degree {sigma.n}, expected {n}")
+
+
+def _image_index(sigma: Permutation | np.ndarray, n: int) -> np.ndarray:
+    """The one gather index: sigma's images as 0-based intp, (n,) or validated rows (..., n)."""
+    if isinstance(sigma, Permutation):
+        if sigma.n != n:
+            raise _degree_error(sigma, n)
+        return np.array(sigma.images, dtype=np.intp) - 1
+    images = np.asarray(sigma)
+    if images.dtype.kind not in "iu":
+        raise TypeError(f"permutation images must be integers, got dtype {images.dtype}")
+    if images.ndim == 0 or images.shape[-1] != n:
+        raise ValueError(f"expected image rows of length {n}, got shape {images.shape}")
+    index = images.astype(np.intp) - 1
+    if not np.array_equal(np.sort(index, axis=-1), np.broadcast_to(np.arange(n), index.shape)):
+        raise ValueError(f"image rows must each be a bijection on 1..{n}")
+    return index
 
 
 def identity(n: int) -> Permutation:

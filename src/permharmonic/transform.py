@@ -17,7 +17,8 @@ as its own 1-D call, through the same one forward and one inverse kernel.
 bool, integer and float input is read as float64 and complex input as
 complex128; other dtypes (strings, bytes, objects, records) raise TypeError.
 That rule, _coerced, is the package's one vector coercion.  The counted
-transforms bill one vector and take 1-D real input only.
+transforms bill one 1-D real vector through the same forward kernel, which
+transform_counted_scalarwise runs over counted scalars to observe the bill.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import CountedScalar, OpCounter
-from .permutations import Permutation, _degree_error
+from .counting import OpCounter
+from .permutations import Permutation, _image_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +121,8 @@ def _forward(arr: np.ndarray, plan: TransformPlan) -> np.ndarray:
     out = np.empty_like(arr)
     out[..., 0] = s[..., -1]
     rows = out[..., :0:-1]
-    np.multiply(plan.coef, arr[..., 1:], out=rows)
+    rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply
+    np.multiply(plan.coef[1:], arr[..., 2:], out=rows[..., 1:])
     rows -= s[..., :-1]
     out *= plan.alpha
     return out
@@ -151,23 +153,6 @@ def inverse_transform(X: np.ndarray, plan: TransformPlan | None = None) -> np.nd
     the last term absent at i = 0.  Batched along the last axis as transform.
     """
     return _inverse(*_as_vector(X, plan))
-
-
-def _image_index(sigma: Permutation | np.ndarray, n: int) -> np.ndarray:
-    """0-based gather index of sigma, shape (n,) or (..., n); array rows are validated."""
-    if isinstance(sigma, Permutation):
-        if sigma.n != n:
-            raise _degree_error(sigma, n)
-        return np.array(sigma.images, dtype=np.intp) - 1
-    images = np.asarray(sigma)
-    if images.dtype.kind not in "iu":
-        raise TypeError(f"permutation images must be integers, got dtype {images.dtype}")
-    if images.ndim == 0 or images.shape[-1] != n:
-        raise ValueError(f"expected image rows of length {n}, got shape {images.shape}")
-    index = images.astype(np.intp) - 1
-    if not np.array_equal(np.sort(index, axis=-1), np.broadcast_to(np.arange(n), index.shape)):
-        raise ValueError(f"image rows must each be a bijection on 1..{n}")
-    return index
 
 
 def spectral_shift(
@@ -211,15 +196,14 @@ def _counted_input(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarra
 def transform_counted(
     x: np.ndarray, plan: TransformPlan | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """Forward transform plus its exact arithmetic tally: (X, mult, add).
+    """Forward transform plus its declared arithmetic tally: (X, mult, add).
 
     The tally bills the scalar operation count of the O(n) schedule: n-1
     additions for the cumulative sum, one multiply and one subtract per row
     2..n-1, one subtract for row n (its integer coefficient is 1, so no
     multiply), and n scaling multiplies.  Totals 2n-2 and 2n-2.  The values
-    come from transform(), whose vector kernel also multiplies row n by the
-    exact 1.0; transform_counted_scalarwise executes the schedule one scalar
-    at a time and must agree op for op.
+    come from transform()'s kernel, and transform_counted_scalarwise runs
+    that same kernel over counted scalars to observe the tally.
 
     The bill is for one vector, so x must be 1-D and real: a batch raises
     ValueError, complex input TypeError.
@@ -232,28 +216,16 @@ def transform_counted(
 def transform_counted_scalarwise(
     x: np.ndarray, plan: TransformPlan | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """Same schedule as transform_counted, executed over CountedScalar objects.
+    """transform's own kernel run over CountedScalar objects: (X, mult, add) observed.
 
-    Every multiply and add passes through the counter's billing, so the tally
-    is observed rather than declared.  Slow; used to certify the declared
-    counts and on small sizes.
+    Input, alpha and coef enter as scalars of one counter, which refuse plain
+    numbers, so each multiply and add is billed and an uncounted one raises.
+
+    >>> transform_counted_scalarwise([1.0, 2.0, 4.0])[1:]
+    (4, 4)
     """
     arr, plan = _counted_input(x, plan)
     counter = OpCounter()
-    n = plan.n
-
-    xs = [counter.wrap(v) for v in arr]
-    alphas = [counter.wrap(a) for a in plan.alpha]
-
-    s: list[CountedScalar] = [xs[0]]
-    for i in range(1, n):
-        s.append(s[i - 1] + xs[i])
-
-    xhat: list[CountedScalar] = [s[n - 1]]
-    for m in range(2, n):
-        coeff = counter.wrap(n - m + 1)
-        xhat.append(coeff * xs[n - m + 1] - s[n - m])
-    xhat.append(xs[1] - s[0])
-
-    X = np.array([float(a * h) for a, h in zip(alphas, xhat)])
-    return X, counter.mult, counter.add
+    wrap = np.frompyfunc(counter.wrap, 1, 1)
+    X = _forward(wrap(arr), TransformPlan(plan.n, wrap(plan.alpha), wrap(plan.coef)))
+    return X.astype(float), counter.mult, counter.add

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .permutations import Permutation, _degree_error, _sort_rounds, adjacent_transposition
-from .transform import _coerced, _image_index
+from .permutations import Permutation, _degree_error, _image_index, _sort_rounds, adjacent_transposition
+from .transform import _coerced
 
 # verify_coxeter's range of n: it multiplies every pair of dense (n-1) x (n-1) generators.
 COXETER_N = range(2, 65)

@@ -57,18 +57,27 @@ def test_counts_are_exactly_2n_minus_2():
         assert (mult, add) == (2 * n - 2, 2 * n - 2)
 
 
+HARD_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308])
+
+
 def test_counted_routes_agree_exactly():
-    # The vectorized tally and the scalar-by-scalar execution must agree on
-    # both values and counts; this keeps the declared counts honest.
+    # The declared tally and the kernel run over counted scalars must agree on
+    # both counts and bits, also on signed zeros, infinities, NaN, subnormals
+    # and overflow; this keeps the declared counts honest.
     rng = np.random.default_rng(0)
-    for n in (2, 3, 4, 9, 40):
-        x = rng.uniform(-5, 5, n)
+    hard = [rng.choice(HARD_VALUES, n) for n in (2, 3, 5, 8) for _ in range(10)]
+    for x in [rng.uniform(-5, 5, n) for n in (2, 3, 4, 9, 40)] + hard:
+        n = x.shape[0]
         plan = build_plan(n)
-        fast, mult_fast, add_fast = transform_counted(x, plan)
-        slow, mult_slow, add_slow = transform_counted_scalarwise(x, plan)
-        assert (mult_fast, add_fast) == (mult_slow, add_slow)
-        assert np.array_equal(fast, slow)
-        assert np.array_equal(fast, transform(x, plan))
+        with np.errstate(invalid="ignore", over="ignore"):
+            fast, mult_fast, add_fast = transform_counted(x, plan)
+            slow, mult_slow, add_slow = transform_counted_scalarwise(x, plan)
+            plain = transform(x, plan)
+        assert (mult_fast, add_fast) == (mult_slow, add_slow) == (2 * n - 2, 2 * n - 2)
+        number = ~np.isnan(plain)
+        for other in (fast, slow):
+            assert np.array_equal(other, plain, equal_nan=True)
+            assert np.array_equal(np.signbit(other[number]), np.signbit(plain[number]))
 
 
 def test_counted_values_match_plain_transform():

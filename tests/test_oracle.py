@@ -419,6 +419,18 @@ def test_translation_generator_shift():
     assert report.max_deviation <= 1e-10
 
 
+def test_translation_builds_the_shift_word_once(monkeypatch):
+    # One word of delta serves every partition's predicted block.
+    calls = []
+    decompose = Permutation.decompose_adjacent
+    monkeypatch.setattr(Permutation, "decompose_adjacent", lambda self: calls.append(self) or decompose(self))
+    rng = np.random.default_rng(15)
+    n = 6
+    delta = random_permutation(n, rng)
+    assert verify_translation(lift(rng.uniform(-1, 1, n)), delta, n).passed
+    assert calls == [delta]
+
+
 def test_translation_at_the_cap_runs_within_budget(monkeypatch):
     monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
     rng = np.random.default_rng(14)

@@ -353,6 +353,7 @@ def shift_check_values(x):
         (inverse_transform, np.complex128),
         (lambda x: spectral_shift(Permutation((2, 3, 1)), x), np.complex128),
         (lambda x: transform_counted(x)[0], None),
+        (lambda x: transform_counted_scalarwise(x)[0], None),
         (lifted_values, None),
         (bandlimit_values, None),
         (fourier_standard_block, None),
@@ -364,6 +365,7 @@ def shift_check_values(x):
         "inverse_transform",
         "spectral_shift",
         "transform_counted",
+        "transform_counted_scalarwise",
         "lift",
         "verify_bandlimit",
         "fourier_standard_block",
