@@ -20,13 +20,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import verify
 from .oracle import derive_schur_constants, verify_bandlimit
-from .permutations import OracleCapExceeded, from_one_line
+from .permutations import from_one_line
 from .transform import (
     build_plan,
     dense_transform,
@@ -178,15 +177,9 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     return 1 if check is not None and not check.passed else 0
 
 
-def _apply_tol(reports: list[verify.SuiteReport], tol: float | None) -> list[verify.SuiteReport]:
-    if tol is None:
-        return reports
-    return [replace(r, checks=tuple(replace(c, tolerance=tol) for c in r.checks)) for r in reports]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter_ns()
-    reports = _apply_tol(verify.run_suite(args.suite, args.n, args.seed), args.tol)
+    reports = verify.run_suite(args.suite, args.n, args.seed)
     elapsed = time.perf_counter_ns() - started
     passed = all(r.passed for r in reports)
 
@@ -368,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"orthogonality, theorem: n <= {verify.QUADRATIC_SUITE_MAX_N}",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="override every check tolerance (diagnostic; negative forces failure)",
-    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
@@ -400,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (CliError, OracleCapExceeded, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

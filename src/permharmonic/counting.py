@@ -1,7 +1,8 @@
 """Exact multiplication/addition counting for the transform kernels.
 
 OpCounter is a pair of tallies.  CountedScalar wraps a float and bills every
-multiplication, division, addition, and subtraction to its counter.  Scalars
+multiplication, addition and subtraction to its counter, and has no other
+arithmetic, so any other operation in a counted kernel raises.  Scalars
 must share a counter to interact, and plain numbers are rejected outright:
 an uncounted operand slipping into a counted expression would silently
 corrupt the tally, so mixing raises instead.
@@ -30,8 +31,7 @@ class CountedScalar:
     """A float whose arithmetic bills a shared OpCounter.
 
     Only CountedScalar-with-CountedScalar arithmetic is allowed, and both
-    operands must share the same counter.  Negation is free: the kernels treat
-    sign flips as bookkeeping, not arithmetic.
+    operands must share the same counter.
     """
 
     __slots__ = ("value", "counter")
@@ -63,14 +63,6 @@ class CountedScalar:
         other = self._check(other)
         self.counter.mult += 1
         return CountedScalar(self.value * other.value, self.counter)
-
-    def __truediv__(self, other: object) -> "CountedScalar":
-        other = self._check(other)
-        self.counter.mult += 1
-        return CountedScalar(self.value / other.value, self.counter)
-
-    def __neg__(self) -> "CountedScalar":
-        return CountedScalar(-self.value, self.counter)
 
     def __float__(self) -> float:
         return self.value

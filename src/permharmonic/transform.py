@@ -65,15 +65,18 @@ def build_plan(n: int) -> TransformPlan:
     return TransformPlan(n=n, alpha=alpha, coef=coef)
 
 
+DENSE_MAX_N = 4096  # largest n of the dense references: 128 MiB of float64
+
+
 def contrast_matrix(n: int) -> np.ndarray:
     """Integer contrast rows before scaling: all ones, then one comparison per row.
 
     Row m (1-based, m >= 2) holds -1 in columns 1..n-m+1 and n-m+1 in column
     n-m+2.  Rows are mutually orthogonal with squared norms n and
-    (n-m+1)(n-m+2).
+    (n-m+1)(n-m+2).  n is refused outside 2..DENSE_MAX_N before any allocation.
     """
-    if n < 2:
-        raise ValueError(f"contrast matrix needs n >= 2, got {n}")
+    if not 2 <= n <= DENSE_MAX_N:
+        raise ValueError(f"contrast matrix needs 2 <= n <= {DENSE_MAX_N}, got {n}")
     mat = np.zeros((n, n))
     mat[0] = 1.0
     for m in range(2, n + 1):
@@ -84,7 +87,9 @@ def contrast_matrix(n: int) -> np.ndarray:
 
 def dense_transform(plan: TransformPlan) -> np.ndarray:
     """The full n x n orthogonal matrix, for cross-checks against the O(n) path."""
-    return plan.alpha[:, None] * contrast_matrix(plan.n)
+    mat = contrast_matrix(plan.n)
+    mat *= plan.alpha[:, None]
+    return mat
 
 
 _COERCED = {"b": np.float64, "i": np.float64, "u": np.float64, "f": np.float64, "c": np.complex128}

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() directly: formats, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import math
@@ -246,13 +247,25 @@ def test_verify_reports_each_margin(capsys, monkeypatch):
     code, text, _ = run_cli(["verify", "--suite", "all", "--n", "5"], capsys, monkeypatch)
     margins = re.findall(r"^  PASS .* margin (\S+)$", text, flags=re.M)
     assert margins == [format(c["ratio"], ".15g") for c in checks]
-    # a tolerance forced below zero leaves no margin: inf in text, null in JSON
-    code, out, _ = run_cli(
-        ["verify", "--suite", "coxeter", "--n", "4", "--tol", "-1", "--format", "json"],
-        capsys,
-        monkeypatch,
+    # a failing check over a zero tolerance leaves no margin: inf in text, null in JSON
+    real = verify.derive_schur_constants
+    monkeypatch.setattr(
+        verify,
+        "derive_schur_constants",
+        lambda n: dataclasses.replace(real(n), block_split=(2, n - 2)),
     )
-    assert code == 1 and json.loads(out)["suites"][0]["checks"][0]["ratio"] is None
+    argv = ["verify", "--suite", "schur", "--n", "5"]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys, monkeypatch)
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    split = [c for c in payload["suites"][0]["checks"] if c["name"] == "block_split"]
+    assert split == [
+        {"name": "block_split", "deviation": 1.0, "tolerance": 0.0, "ratio": None, "passed": False}
+    ]
+    code, text, _ = run_cli(argv, capsys, monkeypatch)
+    assert code == 1
+    assert re.search(r"^  FAIL block_split: .* margin inf$", text, flags=re.M)
+    assert re.search(r"^overall: FAIL ", text, flags=re.M)
 
 
 def test_verify_all_suite(capsys, monkeypatch):
@@ -269,14 +282,6 @@ def test_verify_all_suite(capsys, monkeypatch):
         "schur",
     ]
     assert payload["passed"] is True
-
-
-def test_verify_tol_override_forces_failure(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        ["verify", "--suite", "coxeter", "--n", "4", "--tol", "-1"], capsys, monkeypatch
-    )
-    assert code == 1
-    assert "overall: FAIL" in out
 
 
 def test_verify_argument_validation(capsys, monkeypatch):
@@ -379,14 +384,32 @@ def test_bench_argument_validation(capsys, monkeypatch):
         ["bench", "--n-list", "1,4"],
         ["bench", "--n-list", ""],
         ["bench", "--n-list", "8", "--reps", "0"],
+        ["bench", "--n-list", "8,4097"],  # the dense matrix is refused above DENSE_MAX_N
     ]
     for argv in cases:
-        code, _, err = run_cli(argv, capsys, monkeypatch)
-        assert code == 2 and "error:" in err, argv
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        assert code == 2 and out == "" and "error:" in err, argv
 
 
 def test_no_subcommand_is_usage_error(capsys, monkeypatch):
     assert run_cli([], capsys, monkeypatch)[0] == 2
+
+
+def test_cli_options_are_the_listed_ones():
+    # Every settable value of every command, positionals by name; an option
+    # added or removed shows up here.
+    (commands,) = [a for a in cli.build_parser()._actions if a.choices]
+    options = {
+        name: [", ".join(a.option_strings) or a.dest for a in p._actions if a.dest != "help"]
+        for name, p in commands.choices.items()
+    }
+    assert options == {
+        "transform": ["input", "--inverse", "--counted", "--format"],
+        "shift": ["input", "--perm", "--check", "--format"],
+        "verify": ["--suite", "--n", "--seed", "--format"],
+        "oracle": ["--n", "--seed", "--input", "--format"],
+        "bench": ["--n-list", "--reps", "--format"],
+    }
 
 
 def test_inverse_text_format(capsys, monkeypatch):

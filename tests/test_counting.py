@@ -16,15 +16,18 @@ def test_counter_tallies_each_operation():
     assert float(a + b) == 7.0
     assert float(a - b) == -1.0
     assert float(a * b) == 12.0
-    assert float(a / b) == 0.75
-    assert (counter.mult, counter.add) == (2, 2)
+    assert (counter.mult, counter.add) == (1, 2)
 
 
-def test_negation_and_wrapping_are_free():
+def test_wrapping_is_free_and_unbilled_arithmetic_raises():
+    # The kernels neither divide nor negate, so a counted scalar cannot: such
+    # an operation slipped into a counted kernel raises instead of being billed.
     counter = OpCounter()
-    a = counter.wrap(5.0)
-    assert float(-a) == -5.0
+    a, b = counter.wrap(5.0), counter.wrap(2.0)
     counter.wrap(-a.value)
+    for op in (lambda: -a, lambda: a / b):
+        with pytest.raises(TypeError):
+            op()
     assert (counter.mult, counter.add) == (0, 0)
 
 

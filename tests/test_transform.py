@@ -15,6 +15,7 @@ from permharmonic.permutations import (
     random_permutation,
 )
 from permharmonic.transform import (
+    DENSE_MAX_N,
     build_plan,
     contrast_matrix,
     dense_transform,
@@ -74,6 +75,9 @@ def test_contrast_matrix_small():
         # row m squared norm is (n-m+1)(n-m+2); row scaling makes them unit
         for m in range(2, n + 1):
             assert np.dot(u[m - 1], u[m - 1]) == (n - m + 1) * (n - m + 2)
+    for n in (1, DENSE_MAX_N + 1):
+        with pytest.raises(ValueError):
+            contrast_matrix(n)
 
 
 def test_dense_transform_orthogonal():
@@ -329,8 +333,12 @@ def test_shift_rejects_invalid_image_rows():
         spectral_shift(np.array(3), spectra)
 
 
+def reversal(n):
+    return Permutation(tuple(range(n, 0, -1)))
+
+
 def lifted_values(x):
-    return np.array([lift(x)(sigma) for sigma in enumerate_group(3)])
+    return np.array([lift(x)(sigma) for sigma in enumerate_group(len(x))])
 
 
 def bandlimit_values(x):
@@ -341,7 +349,7 @@ def bandlimit_values(x):
 
 
 def shift_check_values(x):
-    check = shift_check(Permutation((2, 3, 1)), x, x)
+    check = shift_check(reversal(len(x)), x, x)
     return np.array([check.deviation, check.tolerance])
 
 
@@ -351,13 +359,16 @@ def shift_check_values(x):
     [
         (transform, np.complex128),
         (inverse_transform, np.complex128),
-        (lambda x: spectral_shift(Permutation((2, 3, 1)), x), np.complex128),
+        (lambda x: spectral_shift(reversal(len(x)), x), np.complex128),
         (lambda x: transform_counted(x)[0], None),
         (lambda x: transform_counted_scalarwise(x)[0], None),
         (lifted_values, None),
         (bandlimit_values, None),
         (fourier_standard_block, None),
-        (lambda v: standard_irrep_transpose_apply(4, Permutation((2, 4, 1, 3)), v), np.complex128),
+        (
+            lambda v: standard_irrep_transpose_apply(len(v) + 1, reversal(len(v) + 1), v),
+            np.complex128,
+        ),
         (shift_check_values, np.float64),
     ],
     ids=[
@@ -373,8 +384,10 @@ def shift_check_values(x):
         "shift_check",
     ],
 )
-def test_dtype_rules(call, complex_out):
-    values = [1, 0, 3]
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(st.integers(0, 100), min_size=n, max_size=n)))
+@settings(max_examples=25, deadline=None)
+def test_dtype_rules(call, complex_out, values):
+    n = len(values)
     expected = call(np.array(values, dtype=np.float64))
     assert expected.dtype == np.float64
     for dtype in (bool, np.int8, np.int64, np.uint16, np.float16, np.float32):
@@ -384,14 +397,14 @@ def test_dtype_rules(call, complex_out):
         assert out.tobytes() == call(x.astype(np.float64)).tobytes(), dtype
     assert call(values).tobytes() == expected.tobytes()
     for bad in (
-        np.array(["1", "2", "3"]),
-        np.array([b"1", b"2", b"3"]),
-        np.array([1.0, 2.0, 3.0], dtype=object),
-        np.zeros(3, dtype=[("a", float)]),
+        np.array([str(v) for v in values]),
+        np.array([str(v).encode() for v in values]),
+        np.array(values, dtype=object),
+        np.zeros(n, dtype=[("a", float)]),
     ):
         with pytest.raises(TypeError):
             call(bad)
-    z = np.array([1 + 2j, -1j, 3], dtype=np.complex64)
+    z = (np.array(values) + 1j * np.arange(-1, n - 1)).astype(np.complex64)
     if complex_out is not None:
         out = call(z)
         assert out.dtype == complex_out
