@@ -8,7 +8,7 @@ shifting its spectrum commute.  A brute-force full-group oracle validates
 the representation-theoretic structure at small n.
 """
 
-from .counting import CountedScalar, OpCounter
+from .counting import CountedArray
 from .oracle import (
     BandlimitReport,
     SchurReport,
@@ -65,10 +65,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BandlimitReport",
     "Check",
-    "CountedScalar",
+    "CountedArray",
     "DEFAULT_ORACLE_CAP",
     "ORACLE_CAP_ENV",
-    "OpCounter",
     "OracleCapExceeded",
     "Permutation",
     "SchurReport",

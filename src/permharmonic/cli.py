@@ -28,6 +28,7 @@ from .oracle import derive_schur_constants, verify_bandlimit
 from .permutations import from_one_line
 from .transform import (
     build_plan,
+    check_dense_n,
     dense_transform,
     inverse_transform,
     spectral_shift,
@@ -275,6 +276,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CliError("--n-list needs at least one size")
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
+    for n in sizes:
+        check_dense_n(n)
 
     rng = np.random.default_rng(0)
     rows = []
@@ -298,16 +301,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             }
         )
     crossover = next((r["n"] for r in rows if r["fast_ns"] < r["dense_ns"]), None)
+    cols = list(rows[0])
 
     if args.format == "json":
         print(_to_json({"command": "bench", "reps": args.reps, "rows": rows, "crossover_n": crossover}))
     elif args.format == "csv":
-        cols = list(rows[0])
         print(",".join(cols))
         for r in rows:
             print(",".join(str(r[c]) for c in cols))
     else:
-        cols = list(rows[0])
         widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
         print("  ".join(c.rjust(widths[c]) for c in cols))
         for r in rows:

@@ -1,71 +1,44 @@
 """Exact multiplication/addition counting for the transform kernels.
 
-OpCounter is a pair of tallies.  CountedScalar wraps a float and bills every
-multiplication, addition and subtraction to its counter, and has no other
-arithmetic, so any other operation in a counted kernel raises.  Scalars
-must share a counter to interact, and plain numbers are rejected outright:
-an uncounted operand slipping into a counted expression would silently
-corrupt the tally, so mixing raises instead.
+CountedArray is a float64 array whose ufunc calls (NumPy NEP 13) bill a
+shared tally [mult, add]: multiply bills its element count, add and
+subtract theirs as additions, and add.accumulate n-1 per row along its axis.
+Anything else raises TypeError, as does an operand or out= that is not a
+CountedArray of the same tally (another tally raises ValueError): an
+uncounted operand would silently corrupt the tally.  Results, 0-d ones
+included, are CountedArrays, so object arrays of them bill scalar by scalar.
 """
 
 from __future__ import annotations
 
+import numpy as np
 
-class OpCounter:
-    """Tallies of multiplications and additions (subtraction counts as addition)."""
-
-    __slots__ = ("mult", "add")
-
-    def __init__(self) -> None:
-        self.mult = 0
-        self.add = 0
-
-    def wrap(self, value: float) -> "CountedScalar":
-        return CountedScalar(float(value), self)
-
-    def __repr__(self) -> str:
-        return f"OpCounter(mult={self.mult}, add={self.add})"
+_SLOT = {np.multiply: 0, np.add: 1, np.subtract: 1}  # index into tally = [mult, add]
 
 
-class CountedScalar:
-    """A float whose arithmetic bills a shared OpCounter.
+class CountedArray(np.ndarray):
+    """A zero-copy float64 view of values whose arithmetic bills tally = [mult, add]."""
 
-    Only CountedScalar-with-CountedScalar arithmetic is allowed, and both
-    operands must share the same counter.
-    """
+    def __new__(cls, values, tally: list[int]) -> CountedArray:
+        arr = np.asarray(values, dtype=np.float64).view(cls)
+        arr.tally = tally
+        return arr
 
-    __slots__ = ("value", "counter")
+    def __array_finalize__(self, obj) -> None:
+        self.tally = getattr(obj, "tally", None)
 
-    def __init__(self, value: float, counter: OpCounter) -> None:
-        self.value = float(value)
-        self.counter = counter
-
-    def _check(self, other: object) -> "CountedScalar":
-        if not isinstance(other, CountedScalar):
-            raise TypeError(
-                f"counted arithmetic requires CountedScalar operands, got {type(other).__name__}"
-            )
-        if other.counter is not self.counter:
-            raise ValueError("counted operands must share the same OpCounter")
-        return other
-
-    def __add__(self, other: object) -> "CountedScalar":
-        other = self._check(other)
-        self.counter.add += 1
-        return CountedScalar(self.value + other.value, self.counter)
-
-    def __sub__(self, other: object) -> "CountedScalar":
-        other = self._check(other)
-        self.counter.add += 1
-        return CountedScalar(self.value - other.value, self.counter)
-
-    def __mul__(self, other: object) -> "CountedScalar":
-        other = self._check(other)
-        self.counter.mult += 1
-        return CountedScalar(self.value * other.value, self.counter)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"CountedScalar({self.value!r})"
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        accumulate = ufunc is np.add and method == "accumulate" and kwargs.keys() <= {"axis"}
+        if ufunc not in _SLOT or not (method == "__call__" and not kwargs or accumulate):
+            raise TypeError(f"no counted {ufunc.__name__}.{method} with keywords {list(kwargs)}")
+        for operand in inputs + out:
+            if not isinstance(operand, CountedArray):
+                raise TypeError(f"counted operands must be CountedArrays, not {type(operand).__name__}")
+            if operand.tally is not self.tally:
+                raise ValueError("counted operands must share the same tally")
+        if out:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = np.asarray(getattr(ufunc, method)(*(i.view(np.ndarray) for i in inputs), **kwargs))
+        rows = result.size // max(result.shape[kwargs.get("axis", 0)], 1) if accumulate else 0
+        self.tally[_SLOT[ufunc]] += result.size - rows  # accumulate copies each row's first entry
+        return out[0] if out else CountedArray(result, self.tally)

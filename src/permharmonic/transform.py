@@ -17,8 +17,8 @@ as its own 1-D call, through the same one forward and one inverse kernel.
 bool, integer and float input is read as float64 and complex input as
 complex128; other dtypes (strings, bytes, objects, records) raise TypeError.
 That rule, _coerced, is the package's one vector coercion.  The counted
-transforms bill one 1-D real vector through the same forward kernel, which
-transform_counted_scalarwise runs over counted scalars to observe the bill.
+transforms run the same forward kernel over counting.CountedArray operands,
+which observe its bill for one 1-D real vector.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import CountedArray
 from .permutations import Permutation, _image_index
 
 
@@ -68,15 +68,20 @@ def build_plan(n: int) -> TransformPlan:
 DENSE_MAX_N = 4096  # largest n of the dense references: 128 MiB of float64
 
 
+def check_dense_n(n: int) -> None:
+    """Refuse an n outside 2..DENSE_MAX_N, where the n x n dense references grow too large."""
+    if not 2 <= n <= DENSE_MAX_N:
+        raise ValueError(f"contrast matrix needs 2 <= n <= {DENSE_MAX_N}, got {n}")
+
+
 def contrast_matrix(n: int) -> np.ndarray:
     """Integer contrast rows before scaling: all ones, then one comparison per row.
 
     Row m (1-based, m >= 2) holds -1 in columns 1..n-m+1 and n-m+1 in column
     n-m+2.  Rows are mutually orthogonal with squared norms n and
-    (n-m+1)(n-m+2).  n is refused outside 2..DENSE_MAX_N before any allocation.
+    (n-m+1)(n-m+2).  check_dense_n refuses n before any allocation.
     """
-    if not 2 <= n <= DENSE_MAX_N:
-        raise ValueError(f"contrast matrix needs 2 <= n <= {DENSE_MAX_N}, got {n}")
+    check_dense_n(n)
     mat = np.zeros((n, n))
     mat[0] = 1.0
     for m in range(2, n + 1):
@@ -190,47 +195,42 @@ def spectral_shift(
     return out
 
 
-def _counted_input(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
-    """One real vector and its plan: the counted schedule bills a single vector."""
+def _counted_forward(x: np.ndarray, plan: TransformPlan | None, wrap) -> tuple[np.ndarray, int, int]:
+    """_forward over wrap(values, tally) of x, alpha and coef, with the tally it billed."""
     arr, plan = _as_vector(_coerced(x, real=True), plan)
     if arr.ndim != 1:
         raise ValueError(f"counted transform takes one 1-D vector, got shape {arr.shape}")
-    return arr, plan
+    tally = [0, 0]
+    X = _forward(wrap(arr, tally), TransformPlan(plan.n, wrap(plan.alpha, tally), wrap(plan.coef, tally)))
+    return np.asarray(X, dtype=np.float64), tally[0], tally[1]
 
 
 def transform_counted(
     x: np.ndarray, plan: TransformPlan | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """Forward transform plus its declared arithmetic tally: (X, mult, add).
+    """Forward transform plus its observed arithmetic tally: (X, mult, add).
 
-    The tally bills the scalar operation count of the O(n) schedule: n-1
-    additions for the cumulative sum, one multiply and one subtract per row
-    2..n-1, one subtract for row n (its integer coefficient is 1, so no
-    multiply), and n scaling multiplies.  Totals 2n-2 and 2n-2.  The values
-    come from transform()'s kernel, and transform_counted_scalarwise runs
-    that same kernel over counted scalars to observe the tally.
-
-    The bill is for one vector, so x must be 1-D and real: a batch raises
-    ValueError, complex input TypeError.
+    transform()'s kernel runs over CountedArray views of x, alpha and coef,
+    which bill every multiply and add it makes: 2n-2 of each.  The bill is for
+    one vector, so x must be 1-D and real: a batch raises ValueError, complex
+    input TypeError.
     """
-    X = _forward(*_counted_input(x, plan))
-    ops = 2 * X.shape[0] - 2
-    return X, ops, ops
+    return _counted_forward(x, plan, CountedArray)
 
 
 def transform_counted_scalarwise(
     x: np.ndarray, plan: TransformPlan | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """transform's own kernel run over CountedScalar objects: (X, mult, add) observed.
+    """transform_counted over object arrays of 0-d CountedArrays: (X, mult, add).
 
-    Input, alpha and coef enter as scalars of one counter, which refuse plain
-    numbers, so each multiply and add is billed and an uncounted one raises.
+    numpy's object loops bill each scalar operation as it happens, apart from
+    the element-count rule that transform_counted relies on.
 
     >>> transform_counted_scalarwise([1.0, 2.0, 4.0])[1:]
     (4, 4)
     """
-    arr, plan = _counted_input(x, plan)
-    counter = OpCounter()
-    wrap = np.frompyfunc(counter.wrap, 1, 1)
-    X = _forward(wrap(arr), TransformPlan(plan.n, wrap(plan.alpha), wrap(plan.coef)))
-    return X.astype(float), counter.mult, counter.add
+
+    def scalars(values: np.ndarray, tally: list[int]) -> np.ndarray:
+        return np.frompyfunc(lambda value: CountedArray(value, tally), 1, 1)(values)
+
+    return _counted_forward(x, plan, scalars)

@@ -378,17 +378,31 @@ def test_bench_json(capsys, monkeypatch):
     assert all(r["ops_total"] == 2 * (2 * r["n"] - 2) for r in payload["rows"])
 
 
+def test_bench_text_table(capsys, monkeypatch):
+    code, out, _ = run_cli(["bench", "--n-list", "8,16", "--reps", "1"], capsys, monkeypatch)
+    assert code == 0
+    header, *rows, last = out.strip().splitlines()
+    columns = ["n", "fast_ns", "dense_ns", "mult", "add", "ops_total", "bound_cubic", "bound_quadratic"]
+    assert header.split() == columns
+    assert [row.split()[0] for row in rows] == ["8", "16"]
+    assert last.startswith("crossover: ")
+
+
 def test_bench_argument_validation(capsys, monkeypatch):
+    dense_calls = []
+    monkeypatch.setattr(cli, "dense_transform", lambda plan: dense_calls.append(plan.n))
     cases = [
         ["bench", "--n-list", "abc"],
         ["bench", "--n-list", "1,4"],
         ["bench", "--n-list", ""],
         ["bench", "--n-list", "8", "--reps", "0"],
         ["bench", "--n-list", "8,4097"],  # the dense matrix is refused above DENSE_MAX_N
+        ["bench", "--n-list", "4096,4097", "--reps", "1"],  # refused before any size is built
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys, monkeypatch)
         assert code == 2 and out == "" and "error:" in err, argv
+    assert dense_calls == []
 
 
 def test_no_subcommand_is_usage_error(capsys, monkeypatch):

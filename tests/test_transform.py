@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import permharmonic
 from permharmonic.oracle import fourier_standard_block, lift, verify_bandlimit
 from permharmonic.permutations import (
     Permutation,
@@ -450,3 +451,54 @@ def test_linearity_property(xy, c):
     u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
     scale = abs(c) * float(np.max(np.abs(x))) + float(np.max(np.abs(y)))
     assert np.max(np.abs(lhs - rhs)) <= 8 * n * n * (u * scale + eta)
+
+
+def test_public_names_are_the_listed_ones():
+    # An export added or removed shows up here.
+    assert permharmonic.__all__ == [
+        "BandlimitReport",
+        "Check",
+        "CountedArray",
+        "DEFAULT_ORACLE_CAP",
+        "ORACLE_CAP_ENV",
+        "OracleCapExceeded",
+        "Permutation",
+        "SchurReport",
+        "SuiteReport",
+        "TransformPlan",
+        "TranslationReport",
+        "adjacent_transposition",
+        "build_plan",
+        "compose",
+        "contrast_matrix",
+        "dense_transform",
+        "derive_schur_constants",
+        "enumerate_group",
+        "enumerate_partitions",
+        "evaluate_word",
+        "fourier_full",
+        "fourier_standard_block",
+        "from_one_line",
+        "identity",
+        "inverse_transform",
+        "lift",
+        "oracle_cap",
+        "random_permutation",
+        "run_suite",
+        "spectral_shift",
+        "stabilizer_projection",
+        "standard_irrep",
+        "standard_irrep_generator",
+        "standard_irrep_transpose_apply",
+        "standard_tableaux",
+        "tableau_count",
+        "transform",
+        "transform_counted",
+        "transform_counted_scalarwise",
+        "transposition_block",
+        "verify_bandlimit",
+        "verify_coxeter",
+        "verify_translation",
+        "yor_generator",
+        "yor_matrix",
+    ]
