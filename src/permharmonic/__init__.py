@@ -56,7 +56,6 @@ from .yor import (
     standard_irrep,
     standard_irrep_generator,
     standard_irrep_transpose_apply,
-    transposition_block,
     verify_coxeter,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "transform",
     "transform_counted",
     "transform_counted_scalarwise",
-    "transposition_block",
     "verify_bandlimit",
     "verify_coxeter",
     "verify_translation",

@@ -11,8 +11,6 @@ applies 1 (+) D(sigma)^t in O(n) through the transform and is tested against it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .permutations import Permutation, _degree_error, _image_index, _sort_rounds, adjacent_transposition
@@ -22,37 +20,29 @@ from .transform import _coerced
 COXETER_N = range(2, 65)
 
 
-def transposition_block(k: int) -> np.ndarray:
-    """2x2 symmetric orthogonal block [[-1/k, s], [s, 1/k]], s = sqrt(1 - 1/k^2).
-
-    Determinant -1; its own inverse.  k is the axial distance between the two
-    swapped symbols, so k >= 2.
-    """
-    if k < 2:
-        raise ValueError(f"transposition block needs k >= 2, got {k}")
-    c = 1.0 / k
-    s = math.sqrt(1.0 - c * c)
-    return np.array([[-c, s], [s, c]])
-
-
 def standard_irrep_generator(n: int, k: int) -> np.ndarray:
     """Matrix of tau_k in the standard irreducible, dimension (n-1) x (n-1).
 
-    k = 1 gives diag(1, ..., 1, -1).  For k >= 2 the matrix is an identity
-    frame carrying transposition_block(k) at rows/columns n-k, n-k+1 (1-based).
-    Always symmetric and orthogonal.
+    k = 1 gives diag(1, ..., 1, -1).  For k >= 2 the matrix is an identity frame
+    carrying the block of _block_entries(k) at rows/columns n-k, n-k+1 (1-based).
+    Always symmetric and orthogonal, with determinant -1.
     """
     return standard_irrep(n, adjacent_transposition(n, k))
 
 
-def _left_apply_generator(n: int, k: int, target: np.ndarray | list) -> None:
-    """target <- G_k @ target in place; target has n-1 rows (matrix, vector or list)."""
+def _block_entries(k: int | np.ndarray) -> tuple:
+    """(c, s) of tau_k's block [[-c, s], [s, c]]; k >= 2, an int or an array, is the axial distance."""
+    c = 1.0 / k
+    return c, np.sqrt(1.0 - c * c)
+
+
+def _left_apply_generator(n: int, k: int, target: np.ndarray) -> None:
+    """target <- G_k @ target in place; target is an array with n-1 rows (matrix or vector)."""
     if k == 1:
         target[n - 2] = -target[n - 2]
         return
     r = n - k - 1
-    c = 1.0 / k
-    s = math.sqrt(1.0 - c * c)
+    c, s = _block_entries(k)
     top = -c * target[r] + s * target[r + 1]
     bottom = s * target[r] + c * target[r + 1]
     target[r] = top
@@ -91,8 +81,7 @@ def standard_irrep_transpose_apply(n: int, sigma: Permutation | np.ndarray, v: n
         raise ValueError(f"expected vectors of length {n - 1}, got shape {v.shape}")
     out = np.array(np.broadcast_to(v, np.broadcast_shapes(index.shape[:-1] + v.shape[-1:], v.shape)))
     # Pair r, r + 1 is letter n - 1 - r >= 2, at mask index n - 2 - r; tau_1 owns the last one.
-    c = 1.0 / np.arange(n - 1.0, 1.0, -1.0)
-    s = np.sqrt(1.0 - c * c)
+    c, s = _block_entries(np.arange(n - 1.0, 1.0, -1.0))
     with np.errstate(invalid="ignore", over="ignore"):  # IEEE results, as Python floats give
         for step, mask in enumerate(_sort_rounds(index)):
             q = (n - step) % 2  # the round's pairs are r = q, q + 2, ...

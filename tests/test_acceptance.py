@@ -34,7 +34,6 @@ from permharmonic.transform import (
 )
 from permharmonic.yor import (
     standard_irrep_generator,
-    transposition_block,
     verify_coxeter,
 )
 
@@ -107,8 +106,11 @@ def test_criterion_04_generator_conjugation():
             if k == 1:
                 assert abs(sub[n - 2, n - 2] + 1.0) <= 1e-12, n
             else:
-                r = n - k - 1
-                block_dev = np.max(np.abs(sub[r : r + 2, r : r + 2] - transposition_block(k)))
+                # the paper's block [[-c, s], [s, c]], c = 1/k, s = sqrt(1 - c^2)
+                r, c = n - k - 1, 1.0 / k
+                s = math.sqrt(1.0 - c * c)
+                block = np.array([[-c, s], [s, c]])
+                block_dev = np.max(np.abs(sub[r : r + 2, r : r + 2] - block))
                 assert block_dev <= 1e-12, (n, k)
     assert worst <= 1e-12, worst
     print(

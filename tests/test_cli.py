@@ -345,6 +345,16 @@ def test_oracle_text_format(capsys, monkeypatch):
     )
     assert code == 0
     assert "lambda1" in out and "overall: PASS" in out
+    # a failing Schur check prints one VIOLATION line before the verdict
+    real = cli.derive_schur_constants
+    monkeypatch.setattr(
+        cli, "derive_schur_constants", lambda n: dataclasses.replace(real(n), block_split=(2, n - 2))
+    )
+    code, out, _ = run_cli(
+        ["oracle", "--n", "3", "--seed", "0", "--format", "text"], capsys, monkeypatch
+    )
+    assert code == 1
+    assert out.splitlines()[-2:] == ["VIOLATION: block_split 1.0 exceeds tolerance 0.0", "overall: FAIL"]
 
 
 def test_oracle_argument_validation(capsys, monkeypatch):
@@ -386,6 +396,14 @@ def test_bench_text_table(capsys, monkeypatch):
     assert header.split() == columns
     assert [row.split()[0] for row in rows] == ["8", "16"]
     assert last.startswith("crossover: ")
+    # timings alternate fast, dense per size: the first size where fast is lower is named
+    for ticks, want in (
+        ([2, 1, 1, 2], "crossover: fast path beats dense multiply from n=16"),
+        ([2, 1, 2, 1], "crossover: none observed (dense multiply never slower on this list)"),
+    ):
+        monkeypatch.setattr(cli, "_time_ns", lambda fn, ticks=iter(ticks): next(ticks))
+        code, out, _ = run_cli(["bench", "--n-list", "8,16", "--reps", "1"], capsys, monkeypatch)
+        assert code == 0 and out.strip().splitlines()[-1] == want
 
 
 def test_bench_argument_validation(capsys, monkeypatch):

@@ -488,6 +488,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         lift(np.zeros((2, 2)))
     with pytest.raises(ValueError):
+        lift(np.zeros(3))(identity(4))  # a permutation of the wrong degree
+    with pytest.raises(ValueError):
         fourier_standard_block(np.zeros(1))
     with pytest.raises(ValueError):
         yor_matrix((3, 1), Permutation((1, 2, 3)))

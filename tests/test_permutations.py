@@ -208,6 +208,7 @@ def test_from_one_line_and_text_round_trip():
     assert from_one_line("2,3,1").images == (2, 3, 1)
     sigma = Permutation((4, 2, 1, 3))
     assert from_one_line(sigma.one_line()) == sigma
+    assert repr(Permutation((2, 1, 3))) == "Permutation((2, 1, 3))"
     with pytest.raises(ValueError):
         from_one_line("")
     with pytest.raises(ValueError):

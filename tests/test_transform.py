@@ -495,7 +495,6 @@ def test_public_names_are_the_listed_ones():
         "transform",
         "transform_counted",
         "transform_counted_scalarwise",
-        "transposition_block",
         "verify_bandlimit",
         "verify_coxeter",
         "verify_translation",

@@ -72,6 +72,7 @@ def test_run_suite_refuses_before_any_suite_runs(monkeypatch):
         ("all", 9, "oracle cap 8"),
         ("all", 2, "'schur' needs n >= 3"),
         ("schur", 2, "n >= 3"),
+        ("nope", 4, "unknown suite 'nope'"),
     ]
     for suite, n, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -12,34 +12,26 @@ from permharmonic.permutations import (
     random_permutation,
 )
 from permharmonic.yor import (
-    _left_apply_generator,
     standard_irrep,
     standard_irrep_generator,
     standard_irrep_transpose_apply,
-    transposition_block,
     verify_coxeter,
 )
 
 
-def test_transposition_block_values():
-    b2 = transposition_block(2)
-    assert np.allclose(b2, [[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]], atol=1e-15)
-    b3 = transposition_block(3)
-    root8 = math.sqrt(8)
-    assert np.allclose(b3, [[-1 / 3, root8 / 3], [root8 / 3, 1 / 3]], atol=1e-15)
+def paper_entries(k):
+    """(c, s) of tau_k's 2x2 block [[-c, s], [s, c]] by the paper's formula, as Python floats.
+
+    c = 1/k and s = sqrt(1 - c^2), where k >= 2 is the axial distance of the
+    swapped symbols.  The tests' own copy: no reference here reads yor's arithmetic.
+    """
+    c = 1.0 / k
+    return c, math.sqrt(1.0 - c * c)
 
 
-def test_transposition_block_involution_and_determinant():
-    for k in range(2, 11):
-        b = transposition_block(k)
-        assert np.max(np.abs(b @ b - np.eye(2))) < 1e-15
-        assert abs(np.linalg.det(b) + 1.0) < 1e-14
-        assert np.array_equal(b, b.T)
-
-
-def test_transposition_block_rejects_small_k():
-    with pytest.raises(ValueError):
-        transposition_block(1)
+def paper_block(k):
+    c, s = paper_entries(k)
+    return np.array([[-c, s], [s, c]])
 
 
 def test_generator_first_is_sign_corner():
@@ -49,11 +41,15 @@ def test_generator_first_is_sign_corner():
 
 
 def test_generator_block_placement():
-    assert np.array_equal(standard_irrep_generator(3, 2), transposition_block(2))
+    assert np.array_equal(standard_irrep_generator(3, 2), paper_block(2))
+    # the closed forms: s_2 = sqrt(3)/2 and s_3 = sqrt(8)/3
+    s2, s3 = math.sqrt(3) / 2, math.sqrt(8) / 3
+    assert np.allclose(standard_irrep_generator(3, 2), [[-1 / 2, s2], [s2, 1 / 2]], atol=1e-15)
+    assert np.allclose(standard_irrep_generator(4, 3)[:2, :2], [[-1 / 3, s3], [s3, 1 / 3]], atol=1e-15)
     # k=3 at n=5 frames the 2x2 block with identities on either side.
     g = standard_irrep_generator(5, 3)
     want = np.eye(4)
-    want[1:3, 1:3] = transposition_block(3)
+    want[1:3, 1:3] = paper_block(3)
     assert np.array_equal(g, want)
     # general placement: rows n-k, n-k+1 (1-based)
     for n in (4, 6, 9):
@@ -61,7 +57,7 @@ def test_generator_block_placement():
             g = standard_irrep_generator(n, k)
             r = n - k - 1
             want = np.eye(n - 1)
-            want[r : r + 2, r : r + 2] = transposition_block(k)
+            want[r : r + 2, r : r + 2] = paper_block(k)
             assert np.array_equal(g, want), (n, k)
 
 
@@ -71,6 +67,7 @@ def test_generator_symmetric_orthogonal():
             g = standard_irrep_generator(n, k)
             assert np.array_equal(g, g.T)
             assert np.max(np.abs(g @ g - np.eye(n - 1))) < 1e-15
+            assert abs(np.linalg.det(g) + 1.0) < 1e-14
 
 
 def test_generator_rejects_bad_indices():
@@ -135,10 +132,20 @@ def test_irrep_subgroup_reduction():
 
 
 def letter_loop(n, sigma, v):
-    """D(sigma)^t v one letter at a time over Python numbers, along decompose_adjacent()."""
+    """D(sigma)^t v one letter at a time over Python numbers, along decompose_adjacent().
+
+    Each letter applies its generator from paper_entries, never from yor's arithmetic.
+    """
     values = v.tolist()
     for k in sigma.decompose_adjacent():
-        _left_apply_generator(n, k, values)
+        if k == 1:
+            values[n - 2] = -values[n - 2]
+            continue
+        r = n - k - 1
+        c, s = paper_entries(k)
+        top = -c * values[r] + s * values[r + 1]
+        values[r + 1] = s * values[r] + c * values[r + 1]
+        values[r] = top
     return np.array(values, dtype=v.dtype)
 
 
@@ -225,6 +232,8 @@ def test_transpose_apply_longest_word():
 def test_dimension_checks():
     with pytest.raises(ValueError):
         standard_irrep(4, Permutation((1, 2, 3)))
+    with pytest.raises(ValueError, match="n >= 2"):
+        standard_irrep(1, Permutation((1,)))
     with pytest.raises(ValueError):
         standard_irrep_transpose_apply(4, Permutation((1, 2, 3, 4)), np.zeros(4))
 

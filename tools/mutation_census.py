@@ -1,0 +1,168 @@
+"""Mutation census: run tier-1 against named source edits and record what fails.
+
+Each mutant is a list of exact-string edits (file, old text, new text) applied
+to a fresh temporary copy of src/, tests/ and pyproject.toml.  An edit whose
+old text does not occur exactly once stops the census before any run, so a
+stale mutant cannot pass silently.  Tier-1 runs serially in each copy with a
+fixed hypothesis seed, so the counts reproduce, and the census writes one JSON
+record per mutant.  A first run of the unmutated copy shows the command passes.
+A mutant that fails no test marks a gap in the tests.
+
+One mutant takes 10-30 s and the whole census a few minutes; it writes
+tools/mutation_census.json:
+
+    python tools/mutation_census.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = Path(__file__).resolve().with_suffix(".json")
+HYPOTHESIS_SEED = 0
+COMMAND = [
+    sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+    "-p", "no:cacheprovider", "-rfE", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+]
+
+YOR = "src/permharmonic/yor.py"
+TRANSFORM = "src/permharmonic/transform.py"
+VERIFY = "src/permharmonic/verify.py"
+COUNTING = "src/permharmonic/counting.py"
+ROUNDS = "        for step, mask in enumerate(_sort_rounds(index)):\n"
+TAU1 = "            np.copyto(out[..., n - 2 :], -out[..., n - 2 :], where=mask[..., :1])\n"
+BOTTOM = "            np.copyto(bottom, s[q::2] * top + c[q::2] * bottom, where=swap)\n"
+TOP = "            np.copyto(top, new_top, where=swap)\n"
+ROW_N = "    rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply\n"
+CHECK = "    check_shift_n(n)\n"
+DEVIATION = "    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))\n"
+
+# name: (what the mutant breaks, [(file, old, new), ...])
+MUTANTS = {
+    "reversed-round-order": (
+        "the round kernel applies the odd-even sort rounds last to first",
+        [(YOR, ROUNDS, ROUNDS.replace("enumerate(_sort_rounds(index))", "reversed([*enumerate(_sort_rounds(index))])"))],
+    ),
+    "tau2-off-diagonal-sign": (
+        "the round kernel flips the sign of tau_2's off-diagonal entries",
+        [(YOR, "    c, s = _block_entries(np.arange(n - 1.0, 1.0, -1.0))\n",
+          "    c, s = _block_entries(np.arange(n - 1.0, 1.0, -1.0))\n    s[-1:] *= -1.0\n")],
+    ),
+    "tau1-negation-skipped": (
+        "the round kernel never negates the last coordinate for tau_1",
+        [(YOR, TAU1, "")],
+    ),
+    "errstate-dropped": (
+        "the round kernel lets numpy warn on inf - inf and overflow",
+        [(YOR, 'with np.errstate(invalid="ignore", over="ignore"):', "with np.errstate():")],
+    ),
+    "tau1-as-k1-block": (
+        "tau_1 applied as the k = 1 block [[-1, 0], [0, 1]] against a zero phantom coordinate",
+        [(YOR, TAU1, TAU1.replace("-out[..., n - 2 :],", "-1.0 * out[..., n - 2 :] + 0.0 * 0.0,"))],
+    ),
+    "check-shift-n-after-reference": (
+        "shift_check refuses an oversized n only after building the Theta(n^2) reference",
+        [(VERIFY, CHECK + "    spectrum, shifted =", "    spectrum, shifted ="),
+         (VERIFY, DEVIATION, CHECK + DEVIATION)],
+    ),
+    "extra-exact-multiply": (
+        "_forward multiplies every row once more, by an exact 1.0",
+        [(TRANSFORM, "    out *= plan.alpha\n", "    out *= plan.alpha\n    out *= np.ones_like(plan.alpha)\n")],
+    ),
+    "row-n-times-one": (
+        "_forward multiplies row n by 1.0",
+        [(TRANSFORM, ROW_N, "    rows[..., 0] = 1.0 * arr[..., 1]\n")],
+    ),
+    "rows-plus-negated-sum": (
+        "_forward adds the negated prefix sums in place of subtracting them",
+        [(TRANSFORM, "    rows -= s[..., :-1]\n", "    rows += -s[..., :-1]\n")],
+    ),
+    "row-n-as-coef0-product": (
+        "_forward computes row n as coef[0] * x[1]",
+        [(TRANSFORM, ROW_N, "    rows[..., 0] = plan.coef[0] * arr[..., 1]\n")],
+    ),
+    "plan-row-1e-13": (
+        "build_plan scales one row, alpha[n // 2], by a relative 1e-13",
+        [(TRANSFORM, "    alpha[0] = 1.0 / np.sqrt(n)\n", "    alpha[0] = 1.0 / np.sqrt(n)\n    alpha[n // 2] *= 1.0 + 1e-13\n")],
+    ),
+    "block-s-sign-flipped": (
+        "the one definition of the Young block gives -s_k",
+        [(YOR, "    return c, np.sqrt(1.0 - c * c)\n", "    return c, -np.sqrt(1.0 - c * c)\n")],
+    ),
+    "block-c-one-over-k-plus-1": (
+        "the one definition of the Young block gives c_k = 1/(k+1)",
+        [(YOR, "    c = 1.0 / k\n", "    c = 1.0 / (k + 1)\n")],
+    ),
+    "identity-shift-returns-input": (
+        "spectral_shift's identity shortcut returns its input instead of a copy "
+        "(the gather-index FOUND line: an index cache must not share writable state)",
+        [(TRANSFORM, "        return spectrum.copy()\n", "        return spectrum\n")],
+    ),
+    "round-kernel-top-written-first": (
+        "the round kernel writes the top rows before computing the bottom ones from them "
+        "(the masked-copy FOUND line: a rewrite of the two copies must keep their order)",
+        [(YOR, BOTTOM + TOP, TOP + BOTTOM)],
+    ),
+    "accumulate-billed-n-per-row": (
+        "CountedArray bills add.accumulate n additions per row, not n - 1 "
+        "(the CountedArray overhead FOUND line: a faster tally must keep the count)",
+        [(COUNTING, "        self.tally[_SLOT[ufunc]] += result.size - rows", "        self.tally[_SLOT[ufunc]] += result.size")],
+    ),
+}
+
+
+def mutated(name: str) -> dict[str, str]:
+    """The mutant's files with its edits applied in order; stops on an edit that does not match once."""
+    texts: dict[str, str] = {}
+    for file, old, new in MUTANTS[name][1]:
+        text = texts[file] if file in texts else (ROOT / file).read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"mutant {name}: its edit to {file} matches {text.count(old)} times, expected once")
+        texts[file] = text.replace(old, new)
+    return texts
+
+
+def run(texts: dict[str, str]) -> dict:
+    """Tier-1 in a temporary copy of src/, tests/ and pyproject.toml with texts written over it."""
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        for file, text in texts.items():
+            (tree / file).write_text(text)
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(COMMAND, cwd=tree, env=env, capture_output=True, text=True)
+    summary = proc.stdout.splitlines()[-1] if proc.stdout else ""
+    counts = {key: int(value) for value, key in re.findall(r"(\d+) (failed|passed|errors?)\b", summary)}
+    return {
+        "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+        "passed": counts.get("passed", 0),
+        "exit_code": proc.returncode,
+        "failed_tests": sorted(set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.M))),
+    }
+
+
+def main() -> int:
+    texts = {name: mutated(name) for name in MUTANTS}  # every edit checked before the first run
+    results = {}
+    for name, breaks in [("unmutated", "nothing: the tree as committed")] + [(m, MUTANTS[m][0]) for m in MUTANTS]:
+        results[name] = {"breaks": breaks, **run(texts.get(name, {}))}
+        print(f"{name}: {results[name]['failed']} failed, {results[name]['passed']} passed", file=sys.stderr)
+    survivors = [name for name in MUTANTS if results[name]["failed"] == 0]
+    payload = {"command": "PYTHONPATH=src " + " ".join(["python"] + COMMAND[1:]), "mutants": results, "survivors": survivors}
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"survivors: {survivors or 'none'}", file=sys.stderr)
+    return 1 if results["unmutated"]["failed"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
