@@ -8,18 +8,20 @@ blocks, the stabilizer-average projection, and the scalar constants tying the
 full-group coefficients to the O(n) transform.
 
 Every group sum splits S_m into the cosets c_j S_{m-1}, where c_j sends m
-to j, and multiplies each coset's partial sum over S_{m-1} by D(c_j) with
-sparse generator updates, the only form of the generators kept here
-(yor_generator densifies one on request).  The tableau basis is adapted to
+to j, and multiplies each coset's partial sum over S_{m-1} by D(c_j).  The
+generators are kept only as sparse row updates (yor_generator densifies one
+on request); they build each shape's stack of D(c_j) once, and every group
+sum then takes one matmul per shape.  The tableau basis is adapted to
 S_{m-1} < S_m: restricted to S_{m-1}, D(shape) is block diagonal over the
 shapes left by removing one corner, so each coset's partial sum is the
 block diagonal of group sums one level down, and every sum recurses down
 the shape's down-set.  fourier_full recurses on the values of its
 function; lifted vectors (constant on each coset) need only each shape's
-per-coset sums, which depend on the shape alone and are cached read-only:
-(n+1)! floats over every shape up to the largest n used, the only thing of
-size n! that outlives a call.  Each element is counted exactly once.
-The function is read once per element, at permutations that
+per-coset sums, which depend on the shape alone.  Both per-shape stacks,
+the D(c_j) and the per-coset sums, are cached read-only and outlive a
+call; over every shape up to the largest n used, each holds (n+1)! - 1
+floats (the sums one more, for the empty shape).  Each element is counted
+exactly once.  The function is read once per element, at permutations that
 itertools.permutations makes valid, so they skip validation.  Group sums
 take a leading batch axis: verify_translation gathers the translated
 function's values from the function's own by lexicographic rank and sends
@@ -170,7 +172,10 @@ def _actions(shape: Partition) -> tuple[Action, ...]:
 def _act(action: Action, rows: np.ndarray) -> None:
     """rows <- G @ rows in place along axis -2, for G a generator in _actions form."""
     diag, pair, off = action
-    rows[...] = diag[:, None] * rows + off[:, None] * rows[..., pair, :]
+    partner = rows.take(pair, axis=-2)
+    partner *= off[:, None]
+    rows *= diag[:, None]
+    rows += partner
 
 
 def yor_generator(shape: Partition, k: int) -> np.ndarray:
@@ -197,6 +202,24 @@ def yor_matrix(shape: Partition, sigma: Permutation) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _coset_matrices(shape: Partition) -> np.ndarray:
+    """D(shape, c_j) stacked for j = 1..m, read-only, with c_j = tau_j ... tau_{m-1}.
+
+    Built by the chain D(c_m) = I, D(c_j) = G_j D(c_{j+1}): one generator
+    row action per coset.
+    """
+    m, d = sum(shape), len(_tableaux(shape))
+    out = np.empty((m, d, d))
+    out[-1] = np.eye(d)
+    actions = _actions(shape)
+    for j in range(m - 1, 0, -1):
+        out[j - 1] = out[j]
+        _act(actions[j - 1], out[j - 1])
+    out.setflags(write=False)
+    return out
+
+
 def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
     """Per-coset sums over S_m, from one group sum over S_{m-1} per corner removal.
 
@@ -204,22 +227,17 @@ def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
     coset axis j last among its leading axes, or is broadcast along it;
     axes before it are batch axes.  Their block diagonal is D(shape) summed
     over S_{m-1}.  S_m is the disjoint union of the cosets c_j S_{m-1}, with
-    c_j = tau_j ... tau_{m-1} sending m to j, so D(c_j) times the j-th block
-    diagonal is the sum over c_j S_{m-1}; D(c_j) is applied as m - j
-    generator row actions, innermost (tau_{m-1}) first.
+    c_j sending m to j, so D(c_j) times the j-th block diagonal is the sum
+    over c_j S_{m-1}: one matmul by the cached _coset_matrices stack.
     """
-    m = sum(shape)
     d = len(_tableaux(shape))
-    out = np.zeros(np.broadcast_shapes((m,), *(s.shape[:-2] for s in sums)) + (d, d))
+    blocks = np.zeros(np.broadcast_shapes(*(s.shape[:-2] for s in sums)) + (d, d))
     start = 0
     for s in sums:
         stop = start + s.shape[-1]
-        out[..., start:stop, start:stop] = s
+        blocks[..., start:stop, start:stop] = s
         start = stop
-    actions = _actions(shape)
-    for k in range(m - 1, 0, -1):
-        _act(actions[k - 1], out[..., :k, :, :])
-    return out
+    return np.matmul(_coset_matrices(shape), blocks)
 
 
 @lru_cache(maxsize=None)
@@ -241,15 +259,15 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
     what makes its Fourier coefficients vanish outside the top two partitions.
     f is read by the transform's dtype rule, real input only, and copied.
     """
-    arr = np.array(_coerced(f, real=True))
+    arr = _coerced(f, real=True)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    n = arr.shape[0]
+    n, values = arr.shape[0], arr.tolist()
 
     def lifted(sigma: Permutation) -> float:
         if sigma.n != n:
             raise _degree_error(sigma, n)
-        return float(arr[sigma.images[-1] - 1])
+        return values[sigma.images[-1] - 1]
 
     return lifted
 

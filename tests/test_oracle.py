@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -203,6 +204,7 @@ def test_lift_examples():
     f = lift(values)
     values[0] = -1.0  # lift reads its own copy
     assert f(Permutation((2, 3, 1))) == 10.0  # sigma(3) = 1
+    assert type(f(Permutation((2, 3, 1)))) is float
 
 
 def test_lift_constant_on_stabilizer_cosets():
@@ -318,6 +320,33 @@ def test_coset_sums_are_cached_once_per_shape_and_read_only(monkeypatch):
         expected = first.copy()
         first[...] = 0.0
         assert np.array_equal(call(), expected)
+
+
+def test_coset_matrices_are_cached_once_per_shape_and_read_only(monkeypatch):
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+    oracle._coset_sums.cache_clear()
+    oracle._coset_matrices.cache_clear()
+    verify_bandlimit(np.random.default_rng(18).uniform(-1, 1, 8))
+    # every nonempty shape of m <= 8, m matrices of side dim(shape) each:
+    # sum_m m * m! = 9! - 1 floats in all
+    shapes = [shape for m in range(1, 9) for shape in enumerate_partitions(m)]
+    assert oracle._coset_matrices.cache_info().currsize == len(shapes) == 66
+    stacks = [oracle._coset_matrices(shape) for shape in shapes]
+    assert sum(stack.size for stack in stacks) == math.factorial(9) - 1
+    assert not any(stack.flags.writeable for stack in stacks)
+
+
+def test_coset_matrices_match_dense_generator_products():
+    # D(c_j) = G_j G_{j+1} ... G_{m-1}, multiplied out densely from the generators
+    for m in range(1, 7):
+        for shape in enumerate_partitions(m):
+            d = tableau_count(shape)
+            stack = oracle._coset_matrices(shape)
+            assert stack.shape == (m, d, d)
+            assert np.array_equal(stack[-1], np.eye(d))
+            for j in range(1, m):
+                dense = functools.reduce(np.matmul, [yor_generator(shape, k) for k in range(j, m)])
+                assert np.max(np.abs(stack[j - 1] - dense)) <= 1e-12, (shape, j)
 
 
 def test_prop1_at_n9_under_a_raised_cap(monkeypatch):

@@ -37,6 +37,7 @@ YOR = "src/permharmonic/yor.py"
 TRANSFORM = "src/permharmonic/transform.py"
 VERIFY = "src/permharmonic/verify.py"
 COUNTING = "src/permharmonic/counting.py"
+ORACLE = "src/permharmonic/oracle.py"
 ROUNDS = "        for step, mask in enumerate(_sort_rounds(index)):\n"
 TAU1 = "            np.copyto(out[..., n - 2 :], -out[..., n - 2 :], where=mask[..., :1])\n"
 BOTTOM = "            np.copyto(bottom, s[q::2] * top + c[q::2] * bottom, where=swap)\n"
@@ -110,6 +111,24 @@ MUTANTS = {
         "the round kernel writes the top rows before computing the bottom ones from them "
         "(the masked-copy FOUND line: a rewrite of the two copies must keep their order)",
         [(YOR, BOTTOM + TOP, TOP + BOTTOM)],
+    ),
+    "coset-chain-reversed": (
+        "the oracle's coset matrices are built as D(c_j) = D(c_{j+1}) G_j, not G_j D(c_{j+1})",
+        [(ORACLE, "        out[j - 1] = out[j]\n        _act(actions[j - 1], out[j - 1])\n",
+          "        out[j - 1] = out[j] @ yor_generator(shape, j)\n")],
+    ),
+    "coset-matmul-swapped": (
+        "the oracle multiplies each coset's block diagonal by D(c_j) from the right",
+        [(ORACLE, "    return np.matmul(_coset_matrices(shape), blocks)\n",
+          "    return np.matmul(blocks, _coset_matrices(shape))\n")],
+    ),
+    "act-partner-times-diag": (
+        "the oracle's sparse generator action scales the partner row by the diagonal entry",
+        [(ORACLE, "    partner *= off[:, None]\n", "    partner *= diag[:, None]\n")],
+    ),
+    "lift-reads-first-image": (
+        "lift reads f at sigma(1) in place of sigma(n)",
+        [(ORACLE, "        return values[sigma.images[-1] - 1]\n", "        return values[sigma.images[0] - 1]\n")],
     ),
     "accumulate-billed-n-per-row": (
         "CountedArray bills add.accumulate n additions per row, not n - 1 "
