@@ -89,7 +89,7 @@ def _read_vector(source: str) -> np.ndarray:
         try:
             with open(source, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {source}: {exc}") from exc
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -224,8 +224,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.input is None and args.n is None:
-        raise CliError("oracle needs --n (with --seed) or --input")
     f = _read_vector(args.input) if args.input is not None else None
     n = args.n if f is None else f.shape[0]
     schur = derive_schur_constants(n)  # refuses a bad n before the vector is drawn
@@ -367,9 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("oracle", help="full-group coefficient report for a lifted vector")
-    p.add_argument("--n", type=int, default=None, help="vector length for the seeded random input")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, help="vector length for the seeded random input")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", default=None, help="read the vector from a file instead")
+    source.add_argument("--input", help="read the vector from a file instead")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(handler=_cmd_oracle)
 

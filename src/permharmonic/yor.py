@@ -4,16 +4,18 @@ Generators are nearly-identity: the first adjacent transposition acts as
 diag(1, ..., 1, -1), and each later one mixes just two coordinates through a
 symmetric 2x2 block.  Arbitrary group elements are evaluated as generator
 products along a reduced adjacent-transposition word, in the homomorphism
-order D(a * b) = D(a) D(b).  A word has one letter per inversion, up to
-n(n-1)/2, so this module is the shift rule's reference: spectral_shift
-applies 1 (+) D(sigma)^t in O(n) through the transform and is tested against it.
+order D(a * b) = D(a) D(b), by one kernel that applies a sort round's
+disjoint blocks per numpy step; D(sigma) is that kernel applied to the
+identity.  A word has one letter per inversion, up to n(n-1)/2, so this
+module is the shift rule's reference: spectral_shift applies 1 (+) D(sigma)^t
+in O(n) through the transform and is tested against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .permutations import Permutation, _degree_error, _image_index, _sort_rounds, adjacent_transposition
+from .permutations import Permutation, _image_index, _sort_rounds, adjacent_transposition
 from .transform import _coerced
 
 # verify_coxeter's range of n: it multiplies every pair of dense (n-1) x (n-1) generators.
@@ -36,33 +38,19 @@ def _block_entries(k: int | np.ndarray) -> tuple:
     return c, np.sqrt(1.0 - c * c)
 
 
-def _left_apply_generator(n: int, k: int, target: np.ndarray) -> None:
-    """target <- G_k @ target in place; target is an array with n-1 rows (matrix or vector)."""
-    if k == 1:
-        target[n - 2] = -target[n - 2]
-        return
-    r = n - k - 1
-    c, s = _block_entries(k)
-    top = -c * target[r] + s * target[r + 1]
-    bottom = s * target[r] + c * target[r + 1]
-    target[r] = top
-    target[r + 1] = bottom
-
-
 def standard_irrep(n: int, sigma: Permutation) -> np.ndarray:
     """D(sigma): the orthogonal (n-1) x (n-1) matrix of sigma.
 
-    Generator product along sigma.decompose_adjacent(); well defined (any valid
-    word gives the same matrix) and orthogonal.
+    Row i is D(sigma)^t e_i, so the matrix is standard_irrep_transpose_apply
+    on the identity's rows.  Well defined (any valid word gives the same
+    matrix) and orthogonal.  Only a Permutation is read: an array of image rows
+    would pair each identity row with its own permutation.
     """
-    if sigma.n != n:
-        raise _degree_error(sigma, n)
+    if not isinstance(sigma, Permutation):
+        raise TypeError(f"expected a Permutation, got {type(sigma).__name__}")
     if n < 2:
         raise ValueError(f"standard irreducible needs n >= 2, got {n}")
-    mat = np.eye(n - 1)
-    for k in reversed(sigma.decompose_adjacent()):
-        _left_apply_generator(n, k, mat)
-    return mat
+    return standard_irrep_transpose_apply(n, sigma, np.eye(n - 1))
 
 
 def standard_irrep_transpose_apply(n: int, sigma: Permutation | np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -72,8 +60,9 @@ def standard_irrep_transpose_apply(n: int, sigma: Permutation | np.ndarray, v: n
     product applied left to right along the word.  sigma is read as in
     spectral_shift, v as (..., n-1) vectors by the transform's dtype rule.
     A round's letters are disjoint: its 2x2 blocks update strided pairs at
-    once, each by _left_apply_generator's arithmetic.  This Theta(n^2) product
-    is spectral_shift's reference in the tests, the theorem suite and `shift --check`.
+    once, with the entries of _block_entries.  The package's one Young product:
+    standard_irrep reads it, and this Theta(n^2) product is spectral_shift's
+    reference in the tests, the theorem suite and `shift --check`.
     """
     index = _image_index(sigma, n)
     v = _coerced(v)

@@ -84,13 +84,19 @@ def test_transform_inverse_round_trip_via_files(tmp_path, capsys, monkeypatch):
     assert np.max(np.abs(back - x)) <= 1e-12
 
 
-def test_transform_rejects_garbage(capsys, monkeypatch):
+def test_transform_rejects_garbage(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["transform"], capsys, monkeypatch, stdin="1 banana 3")
     assert code == 2 and "error:" in err
     code, _, err = run_cli(["transform"], capsys, monkeypatch, stdin="42")
     assert code == 2 and "error:" in err
     code, _, err = run_cli(["transform", str("/no/such/file")], capsys, monkeypatch)
     assert code == 2 and "error:" in err
+    # a file that is not UTF-8 is named like one that cannot be opened
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"\xff 1 2")
+    code, out, err = run_cli(["transform", str(src)], capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {src}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_transform_rejects_non_finite_input(capsys, monkeypatch):
@@ -357,10 +363,15 @@ def test_oracle_text_format(capsys, monkeypatch):
     assert out.splitlines()[-2:] == ["VIOLATION: block_split 1.0 exceeds tolerance 0.0", "overall: FAIL"]
 
 
-def test_oracle_argument_validation(capsys, monkeypatch):
+def test_oracle_argument_validation(tmp_path, capsys, monkeypatch):
     for argv in (["oracle"], ["oracle", "--n", "2"], ["oracle", "--n", "9"]):
         code, _, err = run_cli(argv, capsys, monkeypatch)
         assert code == 2 and "error:" in err, argv
+    # --n and --input name two different vectors: argparse refuses the pair
+    src = tmp_path / "x7.txt"
+    src.write_text("1 2 3 4 5 6 7")
+    code, out, err = run_cli(["oracle", "--n", "5", "--seed", "3", "--input", str(src)], capsys, monkeypatch)
+    assert code == 2 and out == "" and "not allowed with argument" in err
 
 
 def test_bench_csv_counts_and_bounds(capsys, monkeypatch):

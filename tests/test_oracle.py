@@ -159,6 +159,11 @@ def test_yor_character_match_on_standard_shape():
         general = np.trace(yor_matrix((3, 1), sigma))
         explicit = np.trace(standard_irrep(4, sigma))
         assert abs(general - explicit) <= 1e-10
+    # the tableau construction and the round kernel agree entry by entry
+    rng = np.random.default_rng(12)
+    for n in [*range(3, 13), 64]:
+        for sigma in [random_permutation(n, rng) for _ in range(3)]:
+            assert np.max(np.abs(standard_irrep(n, sigma) - yor_matrix((n - 1, 1), sigma))) <= 1e-12, n
 
 
 def test_yor_trivial_and_sign_shapes():

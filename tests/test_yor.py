@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from permharmonic.oracle import yor_matrix
 from permharmonic.permutations import (
     Permutation,
     adjacent_transposition,
@@ -202,7 +203,7 @@ def check_transpose_case(case, dtype, seed):
         for sigma, row, out in zip(sigmas, v, got):
             assert_bitwise(out, letter_loop(n, sigma, row))
             if np.all(np.isfinite(row)):
-                assert np.max(np.abs(out - standard_irrep(n, sigma).T @ row)) <= 1e-12, n
+                assert np.max(np.abs(out - yor_matrix((n - 1, 1), sigma).T @ row)) <= 1e-12, n
 
 
 CASES = ("random", "reversed64", "batch5", "non_finite")
@@ -226,7 +227,7 @@ def test_transpose_apply_longest_word():
     v = np.random.default_rng(5).uniform(-1, 1, n - 1)
     got = standard_irrep_transpose_apply(n, sigma, v)
     assert got.dtype == np.float64
-    assert np.max(np.abs(got - standard_irrep(n, sigma).T @ v)) <= 1e-12
+    assert np.max(np.abs(got - yor_matrix((n - 1, 1), sigma).T @ v)) <= 1e-12
 
 
 def test_dimension_checks():
@@ -234,6 +235,9 @@ def test_dimension_checks():
         standard_irrep(4, Permutation((1, 2, 3)))
     with pytest.raises(ValueError, match="n >= 2"):
         standard_irrep(1, Permutation((1,)))
+    # image rows would pair each identity row with its own permutation
+    with pytest.raises(TypeError):
+        standard_irrep(3, np.array([[2, 1, 3], [1, 3, 2]]))
     with pytest.raises(ValueError):
         standard_irrep_transpose_apply(4, Permutation((1, 2, 3, 4)), np.zeros(4))
 

@@ -45,6 +45,7 @@ TOP = "            np.copyto(top, new_top, where=swap)\n"
 ROW_N = "    rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply\n"
 CHECK = "    check_shift_n(n)\n"
 DEVIATION = "    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))\n"
+IRREP = "    return standard_irrep_transpose_apply(n, sigma, np.eye(n - 1))\n"
 
 # name: (what the mutant breaks, [(file, old, new), ...])
 MUTANTS = {
@@ -68,6 +69,14 @@ MUTANTS = {
     "tau1-as-k1-block": (
         "tau_1 applied as the k = 1 block [[-1, 0], [0, 1]] against a zero phantom coordinate",
         [(YOR, TAU1, TAU1.replace("-out[..., n - 2 :],", "-1.0 * out[..., n - 2 :] + 0.0 * 0.0,"))],
+    ),
+    "irrep-returns-transpose": (
+        "standard_irrep returns D(sigma)^t, the round kernel's columns in place of its rows",
+        [(YOR, IRREP, IRREP.replace("np.eye(n - 1))", "np.eye(n - 1)).T"))],
+    ),
+    "irrep-reversed-identity": (
+        "standard_irrep applies the round kernel to the identity's rows in reverse order",
+        [(YOR, IRREP, IRREP.replace("np.eye(n - 1)", "np.eye(n - 1)[::-1]"))],
     ),
     "check-shift-n-after-reference": (
         "shift_check refuses an oversized n only after building the Theta(n^2) reference",
