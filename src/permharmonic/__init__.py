@@ -19,8 +19,6 @@ from .oracle import (
     fourier_standard_block,
     lift,
     stabilizer_projection,
-    standard_tableaux,
-    tableau_count,
     verify_bandlimit,
     verify_translation,
     yor_generator,
@@ -34,9 +32,7 @@ from .permutations import (
     adjacent_transposition,
     compose,
     enumerate_group,
-    evaluate_word,
     from_one_line,
-    identity,
     oracle_cap,
     random_permutation,
 )
@@ -81,11 +77,9 @@ __all__ = [
     "derive_schur_constants",
     "enumerate_group",
     "enumerate_partitions",
-    "evaluate_word",
     "fourier_full",
     "fourier_standard_block",
     "from_one_line",
-    "identity",
     "inverse_transform",
     "lift",
     "oracle_cap",
@@ -96,8 +90,6 @@ __all__ = [
     "standard_irrep",
     "standard_irrep_generator",
     "standard_irrep_transpose_apply",
-    "standard_tableaux",
-    "tableau_count",
     "transform",
     "transform_counted",
     "transform_counted_scalarwise",

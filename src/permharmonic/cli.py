@@ -1,8 +1,9 @@
 """Command-line surface: transform, shift, verify, oracle, bench.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage or input
-problems (unparseable or non-finite vectors, invalid permutations, n above
-a size limit or the oracle cap, results that overflow to a non-finite number).
+Exit codes: 0 success, 1 a verification check failed or stdout closed
+early, 2 usage or input problems (unparseable or non-finite vectors, invalid
+permutations, n above a size limit or the oracle cap, results that overflow
+to a non-finite number).
 
 Determinism contract: randomized commands draw from numpy's default_rng
 (PCG64) with the given --seed, and their JSON output carries no timing
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -224,12 +226,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.input is not None and args.seed is not None:
+        raise CliError("--seed draws the --n vector; it has no use with --input")
     f = _read_vector(args.input) if args.input is not None else None
     n = args.n if f is None else f.shape[0]
     schur = derive_schur_constants(n)  # refuses a bad n before the vector is drawn
+    seed = 0 if args.seed is None else args.seed
     if f is None:
-        f = np.random.default_rng(args.seed).uniform(-1.0, 1.0, n)
-    source: dict = {"seed": args.seed} if args.input is None else {"input": args.input}
+        f = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    source: dict = {"seed": seed} if args.input is None else {"input": args.input}
     band = verify_bandlimit(f)
     violations = [
         f"{c.name} {c.deviation!r} exceeds tolerance {c.tolerance!r}"
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="full-group coefficient report for a lifted vector")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--n", type=int, help="vector length for the seeded random input")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the --n input (default 0)")
     source.add_argument("--input", help="read the vector from a file instead")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(handler=_cmd_oracle)
@@ -387,10 +392,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here at the latest
+        return code
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  As in the SIGPIPE
+        # note of Python's signal docs: point stdout at devnull so the
+        # interpreter's final flush cannot raise again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -99,6 +99,12 @@ def _removals(shape: Partition) -> list[tuple[int, Partition]]:
 
 @lru_cache(maxsize=None)
 def _tableaux(shape: Partition) -> tuple[Tableau, ...]:
+    """All standard fillings of shape: rows and columns strictly increasing.
+
+    The basis order of every matrix here.  Among tableaux of the same shape,
+    the one whose largest value sits in a lower row comes first, and ties
+    recurse on the filling of 1..n-1.  shape must already be valid.
+    """
     if not shape:
         return ((),)
     n = sum(shape)
@@ -117,28 +123,6 @@ def _tableaux(shape: Partition) -> tuple[Tableau, ...]:
             else:
                 out.append(t + ((n,),))
     return tuple(out)
-
-
-def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
-    """All standard fillings of shape: rows and columns strictly increasing.
-
-    Deterministic order, defined recursively: among tableaux of the same
-    shape, the one whose largest value sits in a lower row comes first, and
-    ties recurse on the filling of 1..n-1.
-    """
-    validate_partition(shape)
-    return _tableaux(shape)
-
-
-def tableau_count(shape: Partition) -> int:
-    """Number of standard tableaux by the hook length formula."""
-    n = validate_partition(shape)
-    heights = [sum(1 for part in shape if part > c) for c in range(shape[0])]
-    denom = 1
-    for r, part in enumerate(shape):
-        for c in range(part):
-            denom *= (part - c) + (heights[c] - r) - 1
-    return math.factorial(n) // denom
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +165,7 @@ def _act(action: Action, rows: np.ndarray) -> None:
 def yor_generator(shape: Partition, k: int) -> np.ndarray:
     """Orthogonal matrix of the adjacent transposition tau_k on shape's tableaux.
 
-    Rows/columns follow standard_tableaux(shape).  For tableau t with axial
+    Rows/columns follow _tableaux(shape).  For tableau t with axial
     distance r between k and k+1 (column difference minus row difference),
     the diagonal entry is 1/r; if exchanging k and k+1 keeps t standard, the
     entry pairing the two tableaux is sqrt(1 - 1/r^2).  Every other entry is

@@ -4,11 +4,11 @@ Conventions, used uniformly across the package:
 
 * Images are 1-based: ``Permutation((2, 3, 1))`` maps 1 -> 2, 2 -> 3, 3 -> 1.
   Storage is a plain tuple indexed 0-based, so ``images[i - 1] == sigma(i)``.
-* Composition is function composition: ``(a * b)(i) == a(b(i))``.
+* Composition is function composition: ``compose(a, b)(i) == a(b(i))``.
 * The vector action ``y = sigma.apply_to_vector(x)`` sets ``y(i) = x(sigma(i))``,
   i.e. ``y = P(sigma) x`` for the permutation matrix ``P(sigma)_{ij} = [sigma(i) == j]``.
   Chaining therefore reverses order (``sigma -> P(sigma)`` is an antihomomorphism):
-  ``(a * b).apply_to_vector(x) == b.apply_to_vector(a.apply_to_vector(x))``.
+  ``compose(a, b).apply_to_vector(x) == b.apply_to_vector(a.apply_to_vector(x))``.
 
 Text format: space-separated 1-based images, e.g. ``"2 3 1"``.
 """
@@ -18,9 +18,8 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations as _lex_permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,34 +79,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        """sigma(i), 1-based."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"argument {i} outside 1..{self.n}")
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    def sign(self) -> int:
-        """+1 for even permutations, -1 for odd: the parity of n minus the cycle count, O(n)."""
-        seen = [False] * self.n
-        cycles = 0
-        for start in range(self.n):
-            if not seen[start]:
-                cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.images[i] - 1
-        return -1 if (self.n - cycles) % 2 else 1
-
     def apply_to_vector(self, x: Sequence | np.ndarray) -> np.ndarray:
         """Permute coordinates: returns y with y(i) = x(sigma(i)).
 
@@ -121,19 +92,15 @@ class Permutation:
     def decompose_adjacent(self) -> tuple[int, ...]:
         """An adjacent-transposition word (k_1, ..., k_m) whose product is sigma.
 
-        Evaluating tau_{k_1} * tau_{k_2} * ... * tau_{k_m} under the composition
-        convention reproduces sigma.  The letters are _sort_rounds' swaps in order:
-        a reduced word, as long as the inversion count, at most n(n-1)/2.
+        Folding tau_{k_1}, ..., tau_{k_m} with compose, left to right, gives
+        sigma.  The letters are _sort_rounds' swaps in order: a reduced word,
+        as long as the inversion count, at most n(n-1)/2.
 
         >>> Permutation((3, 2, 1)).decompose_adjacent()
         (1, 2, 1)
         """
         _, j = np.nonzero([*_sort_rounds(_image_index(self, self.n))])
         return tuple((j + 1).tolist())
-
-    def one_line(self) -> str:
-        """One-line text form, e.g. '2 3 1'."""
-        return " ".join(str(v) for v in self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
@@ -181,10 +148,6 @@ def _image_index(sigma: Permutation | np.ndarray, n: int) -> np.ndarray:
     return index
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def adjacent_transposition(n: int, k: int) -> Permutation:
     """tau_k in S_n: swaps k and k+1, fixes everything else."""
     if not 1 <= k <= n - 1:
@@ -195,7 +158,7 @@ def adjacent_transposition(n: int, k: int) -> Permutation:
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a * b)(i) = a(b(i)).  Both factors must live in the same S_n.
+    """compose(a, b)(i) = a(b(i)).  Both factors must live in the same S_n.
 
     >>> compose(Permutation((2, 1, 3)), Permutation((1, 3, 2))).images
     (2, 3, 1)
@@ -203,11 +166,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     if a.n != b.n:
         raise ValueError(f"cannot compose permutations of different sizes ({a.n} vs {b.n})")
     return Permutation(tuple(a.images[v - 1] for v in b.images))
-
-
-def evaluate_word(n: int, word: Iterable[int]) -> Permutation:
-    """Product tau_{k_1} * ... * tau_{k_m} of adjacent transpositions in S_n."""
-    return reduce(compose, (adjacent_transposition(n, k) for k in word), identity(n))
 
 
 def from_one_line(text: str) -> Permutation:

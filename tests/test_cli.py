@@ -4,7 +4,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from permharmonic import cli, verify
 from permharmonic.cli import main
 from permharmonic.permutations import Permutation
 from permharmonic.transform import build_plan, inverse_transform, spectral_shift, transform
+from references import inverse
 
 
 def run_cli(argv, capsys, monkeypatch, stdin=None):
@@ -82,6 +87,23 @@ def test_transform_inverse_round_trip_via_files(tmp_path, capsys, monkeypatch):
     assert code == 0
     back = np.array([float(s) for s in out.strip().split(",")])
     assert np.max(np.abs(back - x)) <= 1e-12
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the reader stops after a few bytes of an output far larger than a pipe buffer
+    src = tmp_path / "x.txt"
+    src.write_text(" ".join(map(repr, np.random.default_rng(30).uniform(-1.0, 1.0, 65536).tolist())))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permharmonic.cli", "transform", str(src)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    assert proc.stdout.read(30)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_transform_rejects_garbage(tmp_path, capsys, monkeypatch):
@@ -173,7 +195,7 @@ def test_shift_check_passes_at_every_magnitude(capsys, monkeypatch, scale):
 def test_shift_check_fails_on_a_wrong_shift_rule(capsys, monkeypatch):
     # the check's reference is the Young word product, not the fast path
     monkeypatch.setattr(
-        cli, "spectral_shift", lambda sigma, X, plan: spectral_shift(sigma.inverse(), X, plan)
+        cli, "spectral_shift", lambda sigma, X, plan: spectral_shift(inverse(sigma), X, plan)
     )
     code, out, _ = run_cli(
         ["shift", "--perm", "3 1 4 2", "--check"], capsys, monkeypatch, stdin="1 2 3 4"
@@ -372,6 +394,13 @@ def test_oracle_argument_validation(tmp_path, capsys, monkeypatch):
     src.write_text("1 2 3 4 5 6 7")
     code, out, err = run_cli(["oracle", "--n", "5", "--seed", "3", "--input", str(src)], capsys, monkeypatch)
     assert code == 2 and out == "" and "not allowed with argument" in err
+    # --seed draws the --n vector only: beside --input it is refused, not dropped
+    code, out, err = run_cli(["oracle", "--input", str(src), "--seed", "3"], capsys, monkeypatch)
+    assert code == 2 and out == "" and "--seed" in err and "--input" in err
+    # and without it, --n draws from seed 0
+    unseeded = run_cli(["oracle", "--n", "4"], capsys, monkeypatch)
+    assert unseeded == run_cli(["oracle", "--n", "4", "--seed", "0"], capsys, monkeypatch)
+    assert json.loads(unseeded[1])["seed"] == 0
 
 
 def test_bench_csv_counts_and_bounds(capsys, monkeypatch):
@@ -492,7 +521,7 @@ def test_vector_output_bytes_match_per_element_format(capsys, monkeypatch):
             (["transform"], transform(x, plan), '"command": "transform", "n": %d, "inverse": false' % n),
             (["transform", "--inverse"], inverse_transform(x, plan), '"command": "transform", "n": %d, "inverse": true' % n),
             (
-                ["shift", "--perm", sigma.one_line()],
+                ["shift", "--perm", " ".join(map(str, sigma.images))],
                 spectral_shift(sigma, transform(x, plan), plan),
                 '"command": "shift", "n": %d, "perm": [%s]' % (n, ", ".join(map(str, sigma.images))),
             ),

@@ -38,6 +38,8 @@ TRANSFORM = "src/permharmonic/transform.py"
 VERIFY = "src/permharmonic/verify.py"
 COUNTING = "src/permharmonic/counting.py"
 ORACLE = "src/permharmonic/oracle.py"
+CLI = "src/permharmonic/cli.py"
+PERMUTATIONS = "src/permharmonic/permutations.py"
 ROUNDS = "        for step, mask in enumerate(_sort_rounds(index)):\n"
 TAU1 = "            np.copyto(out[..., n - 2 :], -out[..., n - 2 :], where=mask[..., :1])\n"
 BOTTOM = "            np.copyto(bottom, s[q::2] * top + c[q::2] * bottom, where=swap)\n"
@@ -143,6 +145,21 @@ MUTANTS = {
         "CountedArray bills add.accumulate n additions per row, not n - 1 "
         "(the CountedArray overhead FOUND line: a faster tally must keep the count)",
         [(COUNTING, "        self.tally[_SLOT[ufunc]] += result.size - rows", "        self.tally[_SLOT[ufunc]] += result.size")],
+    ),
+    "oracle-seed-beside-input-dropped": (
+        "oracle --input F --seed S ignores --seed again in place of refusing it",
+        [(CLI, "    if args.input is not None and args.seed is not None:\n"
+               '        raise CliError("--seed draws the --n vector; it has no use with --input")\n', "")],
+    ),
+    "broken-pipe-reraised": (
+        "main lets BrokenPipeError escape, so a closed stdout ends in a traceback",
+        [(CLI, "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n        return 1\n",
+          "        raise\n")],
+    ),
+    "decompose-word-reversed": (
+        "decompose_adjacent returns its word last letter first, a word of sigma^-1 "
+        "(caught by the tests' own word product, tests/references.py)",
+        [(PERMUTATIONS, "        return tuple((j + 1).tolist())\n", "        return tuple((j + 1).tolist()[::-1])\n")],
     ),
 }
 
