@@ -25,7 +25,8 @@ exactly once.  The function is read once per element, at permutations that
 itertools.permutations makes valid, so they skip validation.  Group sums
 take a leading batch axis: verify_translation gathers the translated
 function's values from the function's own by lexicographic rank and sends
-both through one recursion.
+both through one recursion.  It then stacks every shape's blocks on one row
+axis, as _stacked_actions does the generators, and applies delta's word once.
 
 Work and cap both scale factorially; the cap from permutations.oracle_cap
 applies to every operation that touches the whole group.
@@ -151,6 +152,20 @@ def _actions(shape: Partition) -> tuple[Action, ...]:
             arr.setflags(write=False)
         actions.append((diag, pair, off))
     return tuple(actions)
+
+
+@lru_cache(maxsize=None)
+def _stacked_actions(n: int) -> tuple[tuple[Action, ...], np.ndarray]:
+    """_actions of n's shapes on one row axis, partners offset by their shape's first row (starts); read-only."""
+    shapes = _partitions(n)
+    starts = np.cumsum([0] + [len(_tableaux(shape)) for shape in shapes[:-1]])
+    stacked = []
+    for generator in zip(*(_actions(shape) for shape in shapes)):
+        rows = [(diag, pair + start, off) for (diag, pair, off), start in zip(generator, starts)]
+        stacked.append(tuple(np.concatenate(column) for column in zip(*rows)))
+    for arr in (starts, *itertools.chain.from_iterable(stacked)):
+        arr.setflags(write=False)
+    return tuple(stacked), starts
 
 
 def _act(action: Action, rows: np.ndarray) -> None:
@@ -302,6 +317,12 @@ def fourier_full(func: Callable[[Permutation], float], n: int) -> dict[Partition
     return _group_sums(np.array(_values(func, n), dtype=float), n)
 
 
+def _lifted_block(arr: np.ndarray, shape: Partition) -> np.ndarray:
+    """lift(arr)'s coefficient block at shape: sum_j arr[j-1] times shape's j-th coset sum."""
+    sums = _coset_sums(shape)
+    return (arr @ sums.reshape(len(arr), -1)).reshape(sums.shape[1:])
+
+
 def _lifted_input(f: np.ndarray) -> np.ndarray:
     arr = _coerced(f, real=True)
     if arr.ndim != 1 or arr.shape[0] < 2:
@@ -319,7 +340,7 @@ def fourier_standard_block(f: np.ndarray) -> np.ndarray:
     bitwise those of yor.py, so this is the explicit basis.
     """
     arr = _lifted_input(f)
-    return np.tensordot(arr, _coset_sums((arr.shape[0] - 1, 1)), axes=1)
+    return _lifted_block(arr, (arr.shape[0] - 1, 1))
 
 
 def stabilizer_projection(shape: Partition) -> np.ndarray:
@@ -357,9 +378,7 @@ def verify_bandlimit(f: np.ndarray) -> BandlimitReport:
     """Check that lift(f)'s spectrum lives entirely in (n) and (n-1,1)."""
     arr = _lifted_input(f)
     n = arr.shape[0]
-    coeffs = {
-        shape: np.tensordot(arr, _coset_sums(shape), axes=1) for shape in _partitions(n)
-    }
+    coeffs = {shape: _lifted_block(arr, shape) for shape in _partitions(n)}
     bound = 1e-9 * math.factorial(n) * float(np.max(np.abs(arr)))
     block_norms = {shape: float(np.max(np.abs(block))) for shape, block in coeffs.items()}
     kept = {(n,), (n - 1, 1)}
@@ -408,12 +427,17 @@ def verify_translation(
     if delta.n != n:
         raise _degree_error(delta, n)
     word = delta.decompose_adjacent()
-    deviations: dict[Partition, float] = {}
-    for shape, (block, shifted) in _translation_sums(func, delta).items():
-        predicted, actions = block.copy(), _actions(shape)
-        for k in word:  # D(delta)^t: the word's symmetric generators, first letter first
-            _act(actions[k - 1], predicted)
-        deviations[shape] = float(np.max(np.abs(shifted - predicted)))
+    sums = _translation_sums(func, delta)
+    actions, starts = _stacked_actions(n)
+    dims = [block.shape[-1] for block in sums.values()]
+    # Every shape's F and G on one row axis, zero-padded to the widest shape: the padding stays 0.
+    predicted, shifted = stack = np.zeros((2, sum(dims), max(dims)))
+    for start, d, block in zip(starts, dims, sums.values()):
+        stack[:, start : start + d, :d] = block
+    for k in word:  # D(delta)^t: the word's symmetric generators, first letter first
+        _act(actions[k - 1], predicted)
+    worst = np.maximum.reduceat(np.abs(shifted - predicted).max(axis=-1), starts)
+    deviations = dict(zip(sums, worst.tolist()))
     max_deviation = max(deviations.values())
     passed = max_deviation <= _TRANSLATION_TOL
     return TranslationReport(n=n, deviations=deviations, max_deviation=max_deviation, passed=passed)

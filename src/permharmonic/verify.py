@@ -153,12 +153,12 @@ def run_theorem(n: int, seed: int = 0, trials: int = 500) -> SuiteReport:
     rng = np.random.default_rng(seed)
     if n <= 5:
         name = "equivariance_exhaustive"
-        sigmas = enumerate_group(n)
+        rows = (sigma.images for sigma in enumerate_group(n))
     else:
         name = "equivariance_random"
-        sigmas = (random_permutation(n, rng) for _ in range(trials))
-    # Drawn lazily: each permutation, then its vector.
-    pairs = [(sigma.images, rng.uniform(-1.0, 1.0, n)) for sigma in sigmas]
+        rows = (rng.permutation(n) + 1 for _ in range(trials))  # as random_permutation draws
+    # Drawn lazily: each permutation's image row, then its vector.
+    pairs = [(images, rng.uniform(-1.0, 1.0, n)) for images in rows]
     x = np.reshape([vector for _, vector in pairs], (-1, n))
     images = np.array([images for images, _ in pairs], dtype=np.intp).reshape(-1, n)
     shifted = transform(np.take_along_axis(x, images - 1, axis=-1), plan)

@@ -280,6 +280,26 @@ def test_lifted_sums_match_elementwise_sums():
             assert np.max(np.abs(stabilizer_projection(shape) - projection)) <= 1e-14
 
 
+def test_lifted_blocks_equal_the_tensordot_over_coset_sums():
+    # verify_bandlimit and fourier_standard_block against np.tensordot, bitwise
+    rng = np.random.default_rng(27)
+    for n in range(2, 9):
+        for scale in (1.0, 1e-3, 1e5):
+            f = scale * rng.uniform(-1, 1, n)
+            coeffs = {
+                shape: np.tensordot(f, oracle._coset_sums(shape), axes=1)
+                for shape in enumerate_partitions(n)
+            }
+            report = verify_bandlimit(f)
+            assert report.block_norms == {shape: float(np.max(np.abs(b))) for shape, b in coeffs.items()}
+            assert list(report.block_norms) == list(coeffs)
+            tail = float(np.max(np.abs(coeffs[(n - 1, 1)][:, 1:]))) if n > 2 else 0.0
+            assert report.tail_max == tail
+            block = fourier_standard_block(f)
+            assert block.shape == coeffs[(n - 1, 1)].shape
+            assert block.tobytes() == coeffs[(n - 1, 1)].tobytes()
+
+
 def test_oracle_retains_no_group_elements(monkeypatch):
     # group sums at the default cap leave no n!-sized table behind
     monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
@@ -472,6 +492,58 @@ def test_translation_builds_the_shift_word_once(monkeypatch):
     delta = random_permutation(n, rng)
     assert verify_translation(lift(rng.uniform(-1, 1, n)), delta, n).passed
     assert calls == [delta]
+
+
+def looped_deviations(func, delta):
+    """verify_translation's deviations one shape at a time, the word applied letter by letter."""
+    word = delta.decompose_adjacent()
+    deviations = {}
+    for shape, (block, shifted) in oracle._translation_sums(func, delta).items():
+        predicted, actions = block.copy(), oracle._actions(shape)
+        for k in word:
+            oracle._act(actions[k - 1], predicted)
+        deviations[shape] = float(np.max(np.abs(shifted - predicted)))
+    return deviations
+
+
+def test_stacked_word_product_equals_the_per_shape_letter_loop():
+    rng = np.random.default_rng(25)
+    for n in range(2, 8):
+        values = {sigma: float(rng.uniform(-1, 1)) for sigma in enumerate_group(n)}
+        funcs = (lift(rng.uniform(-1, 1, n)), values.__getitem__)  # lifted, and not lifted
+        deltas = [identity(n), Permutation(tuple(range(n, 0, -1))), random_permutation(n, rng)]
+        deltas += [adjacent_transposition(n, k) for k in sorted({1, n // 2, n - 1})]
+        for func, delta in itertools.product(funcs, deltas):
+            report = verify_translation(func, delta, n)
+            looped = looped_deviations(func, delta)
+            assert list(report.deviations) == list(looped) == enumerate_partitions(n)
+            assert report.deviations == looped, (n, delta)
+            for shape, (block, shifted) in oracle._translation_sums(func, delta).items():
+                dense = np.max(np.abs(shifted - yor_matrix(shape, delta).T @ block))
+                assert abs(report.deviations[shape] - dense) <= 1e-12, (n, delta, shape)
+
+
+def test_stacked_actions_are_read_only_and_built_once_per_n():
+    oracle._stacked_actions.cache_clear()
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        assert verify_translation(lift(rng.uniform(-1, 1, 6)), random_permutation(6, rng), 6).passed
+    assert oracle._stacked_actions.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
+    for n in range(1, 9):
+        actions, starts = oracle._stacked_actions(n)
+        dims = [hook_length_count(shape) for shape in enumerate_partitions(n)]
+        assert starts.tolist() == np.cumsum([0] + dims[:-1]).tolist() and len(actions) == n - 1
+        arrays = [starts] + [arr for action in actions for arr in action]
+        assert not any(arr.flags.writeable for arr in arrays)
+        for k, (diag, pair, off) in enumerate(actions):
+            for shape, start, d in zip(enumerate_partitions(n), starts, dims):
+                own_diag, own_pair, own_off = oracle._actions(shape)[k]
+                assert np.array_equal(diag[start : start + d], own_diag)
+                assert np.array_equal(pair[start : start + d], own_pair + start)
+                assert np.array_equal(off[start : start + d], own_off)
+    # about 0.13 MB at n = 8: three 8-byte entries per row, 764 rows, 7 generators
+    actions, _ = oracle._stacked_actions(8)
+    assert sum(arr.nbytes for action in actions for arr in action) == 3 * 8 * 764 * 7
 
 
 def test_translation_at_the_cap_runs_within_budget(monkeypatch):

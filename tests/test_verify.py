@@ -61,6 +61,21 @@ def test_batched_theorem_suite_equals_the_looped_checks():
         assert tuple(check.deviation for check in report.checks) == looped_theorem(n, seed, trials)
 
 
+def test_theorem_suite_draws_image_rows_not_permutations(monkeypatch):
+    # above n = 5, run_theorem draws rng.permutation(n) + 1 itself, the very draw
+    # random_permutation makes, and builds no Permutation for its trials
+    cases = ((0, 500), (11, 37))
+    expected = {seed: looped_theorem(64, seed, trials) for seed, trials in cases}
+    monkeypatch.setattr(verify, "random_permutation", lambda n, rng: pytest.fail("a Permutation drawn"))
+    built = []
+    validate = Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__", lambda self: built.append(self) or validate(self))
+    for seed, trials in cases:
+        report = run_theorem(64, seed, trials)
+        assert report.passed and built == []
+        assert tuple(check.deviation for check in report.checks) == expected[seed]
+
+
 def test_run_suite_refuses_before_any_suite_runs(monkeypatch):
     for runner in ("run_coxeter", "run_orthogonality", "run_theorem", "run_prop1", "run_schur"):
         monkeypatch.setattr(verify, runner, lambda *args: pytest.fail("a suite ran"))

@@ -48,6 +48,7 @@ ROW_N = "    rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply\
 CHECK = "    check_shift_n(n)\n"
 DEVIATION = "    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))\n"
 IRREP = "    return standard_irrep_transpose_apply(n, sigma, np.eye(n - 1))\n"
+WORD = "    for k in word:  # D(delta)^t: the word's symmetric generators, first letter first\n"
 
 # name: (what the mutant breaks, [(file, old, new), ...])
 MUTANTS = {
@@ -160,6 +161,22 @@ MUTANTS = {
         "decompose_adjacent returns its word last letter first, a word of sigma^-1 "
         "(caught by the tests' own word product, tests/references.py)",
         [(PERMUTATIONS, "        return tuple((j + 1).tolist())\n", "        return tuple((j + 1).tolist()[::-1])\n")],
+    ),
+    "stacked-pair-not-offset": (
+        "_stacked_actions keeps each shape's own partner indices, so later shapes read the first shape's rows",
+        [(ORACLE, "pair + start, off)", "pair, off)")],
+    ),
+    "reduceat-starts-shifted": (
+        "verify_translation's per-shape maximum starts one row early, taking the previous shape's last row",
+        [(ORACLE, "max(axis=-1), starts)", "max(axis=-1), np.maximum(starts - 1, 0))")],
+    ),
+    "stacked-word-last-letter-first": (
+        "verify_translation applies delta's word to the stack last letter first, D(delta) in place of D(delta)^t",
+        [(ORACLE, WORD, WORD.replace("in word:", "in reversed(word):"))],
+    ),
+    "theorem-draws-without-plus-one": (
+        "run_theorem draws 0-based image rows, rng.permutation(n) without + 1",
+        [(VERIFY, "rows = (rng.permutation(n) + 1 for", "rows = (rng.permutation(n) for")],
     ),
 }
 
