@@ -10,23 +10,30 @@ full-group coefficients to the O(n) transform.
 Every group sum splits S_m into the cosets c_j S_{m-1}, where c_j sends m
 to j, and multiplies each coset's partial sum over S_{m-1} by D(c_j).  The
 generators are kept only as sparse row updates (yor_generator densifies one
-on request); they build each shape's stack of D(c_j) once, and every group
-sum then takes one matmul per shape.  The tableau basis is adapted to
-S_{m-1} < S_m: restricted to S_{m-1}, D(shape) is block diagonal over the
-shapes left by removing one corner, so each coset's partial sum is the
-block diagonal of group sums one level down, and every sum recurses down
-the shape's down-set.  fourier_full recurses on the values of its
-function; lifted vectors (constant on each coset) need only each shape's
-per-coset sums, which depend on the shape alone.  Both per-shape stacks,
-the D(c_j) and the per-coset sums, are cached read-only and outlive a
-call; over every shape up to the largest n used, each holds (n+1)! - 1
-floats (the sums one more, for the empty shape).  Each element is counted
-exactly once.  The function is read once per element, at permutations that
-itertools.permutations makes valid, so they skip validation.  Group sums
-take a leading batch axis: verify_translation gathers the translated
-function's values from the function's own by lexicographic rank and sends
-both through one recursion.  It then stacks every shape's blocks on one row
-axis, as _stacked_actions does the generators, and applies delta's word once.
+on request); they build each shape's D(c_j) once, stored side by side as
+one d x m*d matrix, and every group sum then takes one matmul per shape.
+The tableau basis is adapted to S_{m-1} < S_m: restricted to S_{m-1},
+D(shape) is block diagonal over the shapes left by removing one corner, so
+each coset's partial sum is the block diagonal of group sums one level
+down, and every sum recurses down the shape's down-set.  fourier_full
+recurses on the values of its function: at each level the m block
+diagonals, stacked as one m*d x d column, meet the side-by-side D(c_j), so
+the sum over the cosets is the matmul's own inner sum.  Lifted vectors
+(constant on each coset) need only each shape's per-coset sums, which
+depend on the shape alone, so there the matmul keeps the coset axis.  Both
+per-shape arrays, the D(c_j) and the per-coset sums, are cached read-only
+and outlive a call; over every shape up to the largest n used, each holds
+(n+1)! - 1 floats (the sums one more, for the empty shape).  Each element
+is counted exactly once.  The function is read once per element, at
+permutations that itertools.permutations makes valid, so they skip
+validation.  Group sums take a leading batch axis: verify_translation
+gathers the translated function's values from the function's own and sends
+both through one recursion.  The gather index is a rank: delta is applied
+to every row of the cached int8 table of S_n in lexicographic order (n!*n
+bytes), each row is read as a base-n number, and searchsorted finds it
+among the table's own, which ascend.  It then stacks every shape's blocks
+on one row axis, as _stacked_actions does the generators, and applies
+delta's word once.
 
 Work and cap both scale factorially; the cap from permutations.oracle_cap
 applies to every operation that touches the whole group.
@@ -206,10 +213,11 @@ def _coset_matrices(shape: Partition) -> np.ndarray:
     """D(shape, c_j) stacked for j = 1..m, read-only, with c_j = tau_j ... tau_{m-1}.
 
     Built by the chain D(c_m) = I, D(c_j) = G_j D(c_{j+1}): one generator
-    row action per coset.
+    row action per coset.  Stored side by side, as the (d, m*d) matrix
+    [D(c_1) ... D(c_m)] that _coset_total reads; the stack is a view of it.
     """
     m, d = sum(shape), len(_tableaux(shape))
-    out = np.empty((m, d, d))
+    out = np.empty((d, m, d)).transpose(1, 0, 2)
     out[-1] = np.eye(d)
     actions = _actions(shape)
     for j in range(m - 1, 0, -1):
@@ -217,6 +225,18 @@ def _coset_matrices(shape: Partition) -> np.ndarray:
         _act(actions[j - 1], out[j - 1])
     out.setflags(write=False)
     return out
+
+
+def _block_diagonal(shape: Partition, sums: list[np.ndarray], lead: tuple[int, ...]) -> np.ndarray:
+    """sums[i], one group sum over S_{m-1} per corner removal of shape, on the diagonal of (*lead, d, d) zeros."""
+    d = len(_tableaux(shape))
+    blocks = np.zeros(lead + (d, d))
+    start = 0
+    for s in sums:
+        stop = start + s.shape[-1]
+        blocks[..., start:stop, start:stop] = s
+        start = stop
+    return blocks
 
 
 def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
@@ -229,14 +249,21 @@ def _coset_stack(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
     c_j sending m to j, so D(c_j) times the j-th block diagonal is the sum
     over c_j S_{m-1}: one matmul by the cached _coset_matrices stack.
     """
-    d = len(_tableaux(shape))
-    blocks = np.zeros(np.broadcast_shapes(*(s.shape[:-2] for s in sums)) + (d, d))
-    start = 0
-    for s in sums:
-        stop = start + s.shape[-1]
-        blocks[..., start:stop, start:stop] = s
-        start = stop
-    return np.matmul(_coset_matrices(shape), blocks)
+    lead = np.broadcast_shapes(*(s.shape[:-2] for s in sums))
+    return np.matmul(_coset_matrices(shape), _block_diagonal(shape, sums, lead))
+
+
+def _coset_total(shape: Partition, sums: list[np.ndarray]) -> np.ndarray:
+    """_coset_stack(shape, sums) summed over the coset axis j, by one matmul.
+
+    Every sums[i] carries the coset axis, all with the same leading axes.
+    The m block diagonals, stacked as one (m*d, d) column, meet the D(c_j)
+    side by side, so the matmul's inner sum runs over j too.
+    """
+    blocks = _block_diagonal(shape, sums, sums[0].shape[:-2])
+    *lead, m, d, _ = blocks.shape
+    row = _coset_matrices(shape).transpose(1, 0, 2).reshape(d, m * d)  # a view, no copy
+    return np.matmul(row, blocks.reshape(*lead, m * d, d))
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +291,7 @@ def lift(f: np.ndarray) -> Callable[[Permutation], float]:
     n, values = arr.shape[0], arr.tolist()
 
     def lifted(sigma: Permutation) -> float:
-        if sigma.n != n:
+        if len(sigma.images) != n:
             raise _degree_error(sigma, n)
         return values[sigma.images[-1] - 1]
 
@@ -277,18 +304,44 @@ def _values(func: Callable[[Permutation], float], n: int) -> list[float]:
     That is the lexicographic order of sigma's images read from n down to 1,
     as itertools.permutations yields them.
     """
-    return [func(Permutation._trusted(w[::-1])) for w in itertools.permutations(range(1, n + 1))]
+    trusted = Permutation._trusted
+    return [func(trusted(w[::-1])) for w in itertools.permutations(range(1, n + 1))]
 
 
-def _translate(values: list[float], delta: Permutation) -> list[float]:
+@lru_cache(maxsize=None)
+def _lex_table(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 in lexicographic order, one per row: (n!, n) int8, read-only.
+
+    Row p is the p-th tuple of itertools.permutations(range(n)).  Built a
+    value at a time: the rows for 0..m-1 are, for each head a in turn, a
+    followed by the rows for 0..m-2 with every entry >= a raised by one.
+    """
+    table = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        heads = np.arange(m, dtype=np.int8)[:, None, None]
+        tails = table + (table >= heads)
+        table = np.concatenate((np.broadcast_to(heads, (m, len(table), 1)), tails), axis=-1).reshape(-1, m)
+    table.setflags(write=False)
+    return table
+
+
+def _translate(values: np.ndarray, delta: Permutation) -> np.ndarray:
     """Values of sigma -> func(delta sigma) in coset order, gathered from func's values.
 
-    At the position of sigma, itertools.permutations(delta.images) yields the
-    images of delta sigma read the same way; its rank among the permutations
-    of 1..n is where func's values hold func(delta sigma).
+    Row p of _lex_table(n) holds the images of the p-th sigma in coset
+    order, read from n down to 1 and less one; delta applied to that row
+    holds delta sigma's, read the same way, and its lexicographic rank is
+    where func's values hold func(delta sigma).  The rank is found by
+    reading each row as a base-n number: lexicographic order is the order of
+    those numbers, so the table's own are ascending and searchsorted ranks
+    the moved rows among them.  n**n fits int64 for every n whose table
+    fits in memory.
     """
-    rank = {w: p for p, w in enumerate(itertools.permutations(range(1, delta.n + 1)))}
-    return [values[rank[w]] for w in itertools.permutations(delta.images)]
+    n = delta.n
+    table = _lex_table(n)
+    place = n ** np.arange(n - 1, -1, -1)
+    moved = np.take(np.array(delta.images, dtype=np.int8) - 1, table)
+    return values[np.searchsorted(table @ place, moved @ place)]
 
 
 def _group_sums(values: np.ndarray, n: int) -> dict[Partition, np.ndarray]:
@@ -304,10 +357,7 @@ def _group_sums(values: np.ndarray, n: int) -> dict[Partition, np.ndarray]:
     """
     sums = {(): values.reshape(values.shape[:-1] + tuple(range(n, 0, -1)) + (1, 1))}
     for m in range(1, n + 1):
-        sums = {
-            shape: _coset_stack(shape, [sums[mu] for _, mu in _removals(shape)]).sum(axis=-3)
-            for shape in _partitions(m)
-        }
+        sums = {shape: _coset_total(shape, [sums[mu] for _, mu in _removals(shape)]) for shape in _partitions(m)}
     return sums
 
 
@@ -414,10 +464,8 @@ def _translation_sums(
     func is read once per element; g's values are gathered from those, and
     both run through one recursion with a leading batch axis of 2.
     """
-    n = delta.n
-    check_cap(n)
-    values = _values(func, n)
-    return _group_sums(np.array([values, _translate(values, delta)], dtype=float), n)
+    values = np.array(_values(func, delta.n), dtype=float)
+    return _group_sums(np.stack((values, _translate(values, delta))), delta.n)
 
 
 def verify_translation(
@@ -426,6 +474,7 @@ def verify_translation(
     """Check the shift rule: g = func(delta . sigma) has G = D(delta)^t F blockwise."""
     if delta.n != n:
         raise _degree_error(delta, n)
+    check_cap(n)  # before delta's Theta(n^2) word
     word = delta.decompose_adjacent()
     sums = _translation_sums(func, delta)
     actions, starts = _stacked_actions(n)

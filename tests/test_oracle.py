@@ -650,6 +650,65 @@ def test_translation_fails_when_the_translate_is_read_at_sigma_delta(monkeypatch
     assert not report.passed and report.max_deviation > 1e-3
 
 
+def dict_translate(values, delta):
+    """The translate gathered by a dict of every image tuple's lexicographic rank."""
+    rank = {w: p for p, w in enumerate(itertools.permutations(range(1, delta.n + 1)))}
+    return [values[rank[w]] for w in itertools.permutations(delta.images)]
+
+
+def test_translate_gathers_what_the_dict_rank_gathers():
+    # every delta for n <= 4 (n = 1 and 2 included), random ones up to the cap; bitwise
+    rng = np.random.default_rng(28)
+    deltas = [delta for n in range(1, 5) for delta in enumerate_group(n)]
+    deltas += [random_permutation(n, rng) for n in range(5, 9) for _ in range(3)]
+    for delta in deltas:
+        values = rng.uniform(-1, 1, math.factorial(delta.n))
+        gathered = oracle._translate(values, delta)
+        assert gathered.tobytes() == np.array(dict_translate(values.tolist(), delta)).tobytes(), delta
+
+
+def test_lex_table_is_read_only_int8_and_built_once_per_n():
+    oracle._lex_table.cache_clear()
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        assert verify_translation(lift(rng.uniform(-1, 1, 6)), random_permutation(6, rng), 6).passed
+    assert oracle._lex_table.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
+    for n in range(1, 9):
+        table = oracle._lex_table(n)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert table.tolist() == [list(w) for w in itertools.permutations(range(n))]
+    # n! rows of n bytes: 322,560 bytes at n = 8
+    assert oracle._lex_table(8).nbytes == math.factorial(8) * 8 == 322_560
+
+
+def test_summed_coset_product_equals_the_coset_stack_summed():
+    rng = np.random.default_rng(30)
+    for m in range(1, 8):
+        for shape in enumerate_partitions(m):
+            d = hook_length_count(shape)
+            # stored side by side, so the (d, m*d) layout the product reads is a view
+            assert oracle._coset_matrices(shape).transpose(1, 0, 2).flags.c_contiguous
+            dims = [len(oracle._tableaux(mu)) for _, mu in oracle._removals(shape)]
+            for batch in ((), (2, 3)):
+                sums = [rng.uniform(-1, 1, batch + (m, k, k)) for k in dims]
+                total = oracle._coset_total(shape, sums)
+                reference = oracle._coset_stack(shape, sums).sum(axis=-3)
+                assert total.shape == reference.shape == batch + (d, d)
+                scale = np.max(np.abs(reference), axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(total - reference) <= 1e-12 * scale), (shape, batch)
+
+
+def test_translation_checks_the_cap_before_building_the_shift_word(monkeypatch):
+    monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)
+
+    def no_word(self):
+        raise AssertionError("delta's word was built before the cap was checked")
+
+    monkeypatch.setattr(Permutation, "decompose_adjacent", no_word)
+    with pytest.raises(OracleCapExceeded):
+        verify_translation(lambda sigma: 0.0, identity(9), 9)
+
+
 def test_partitions_are_cached_but_handed_out_fresh():
     first = enumerate_partitions(5)
     first.append((99,))

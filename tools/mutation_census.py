@@ -131,8 +131,8 @@ MUTANTS = {
     ),
     "coset-matmul-swapped": (
         "the oracle multiplies each coset's block diagonal by D(c_j) from the right",
-        [(ORACLE, "    return np.matmul(_coset_matrices(shape), blocks)\n",
-          "    return np.matmul(blocks, _coset_matrices(shape))\n")],
+        [(ORACLE, "    return np.matmul(_coset_matrices(shape), _block_diagonal(shape, sums, lead))\n",
+          "    return np.matmul(_block_diagonal(shape, sums, lead), _coset_matrices(shape))\n")],
     ),
     "act-partner-times-diag": (
         "the oracle's sparse generator action scales the partner row by the diagonal entry",
@@ -173,6 +173,27 @@ MUTANTS = {
     "stacked-word-last-letter-first": (
         "verify_translation applies delta's word to the stack last letter first, D(delta) in place of D(delta)^t",
         [(ORACLE, WORD, WORD.replace("in word:", "in reversed(word):"))],
+    ),
+    "translate-rank-of-delta-inverse": (
+        "_translate applies delta^-1 to the lexicographic table, gathering func(delta^-1 sigma)",
+        [(ORACLE, "np.take(np.array(delta.images, dtype=np.int8) - 1, table)", "np.take(np.argsort(delta.images).astype(np.int8), table)")],
+    ),
+    "translate-codes-in-base-n-minus-1": (
+        "_translate reads the table's rows as base n - 1 numbers, which no longer order them",
+        [(ORACLE, "    place = n ** np.arange(n - 1, -1, -1)\n", "    place = (n - 1) ** np.arange(n - 1, -1, -1)\n")],
+    ),
+    "coset-row-untransposed": (
+        "the summed coset product reads the D(c_j) stack flattened as it lies, not side by side",
+        [(ORACLE, "_coset_matrices(shape).transpose(1, 0, 2).reshape(d, m * d)", "_coset_matrices(shape).reshape(d, m * d)")],
+    ),
+    "blocks-off-the-diagonal": (
+        "the block diagonal of one level's group sums puts each block in the mirrored column range",
+        [(ORACLE, "        blocks[..., start:stop, start:stop] = s\n", "        blocks[..., start:stop, d - stop : d - start] = s\n")],
+    ),
+    "translation-cap-after-word": (
+        "verify_translation builds delta's Theta(n^2) word before checking the oracle cap",
+        [(ORACLE, "    check_cap(n)  # before delta's Theta(n^2) word\n    word = delta.decompose_adjacent()\n",
+          "    word = delta.decompose_adjacent()\n    check_cap(n)\n")],
     ),
     "theorem-draws-without-plus-one": (
         "run_theorem draws 0-based image rows, rng.permutation(n) without + 1",
