@@ -2,7 +2,8 @@
 
 CountedArray is a float64 array whose ufunc calls (NumPy NEP 13) bill a
 shared tally [mult, add]: multiply bills its element count, add and
-subtract theirs as additions, and add.accumulate n-1 per row along its axis.
+subtract theirs as additions, and add.accumulate and subtract.accumulate
+n-1 per row along their axis.
 Anything else raises TypeError, as does an operand or out= that is not a
 CountedArray of the same tally (another tally raises ValueError): an
 uncounted operand would silently corrupt the tally.  Results, 0-d ones
@@ -28,7 +29,7 @@ class CountedArray(np.ndarray):
         self.tally = getattr(obj, "tally", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
-        accumulate = ufunc is np.add and method == "accumulate" and kwargs.keys() <= {"axis"}
+        accumulate = ufunc in (np.add, np.subtract) and method == "accumulate" and kwargs.keys() <= {"axis"}
         if ufunc not in _SLOT or not (method == "__call__" and not kwargs or accumulate):
             raise TypeError(f"no counted {ufunc.__name__}.{method} with keywords {list(kwargs)}")
         for operand in inputs + out:

@@ -4,7 +4,8 @@ The transform matrix factors as row scaling after an integer contrast matrix:
 row 1 sums all entries, row m (m >= 2) compares entry n-m+2 against the sum
 of the first n-m+1 entries.  Scaling each row to unit length makes the whole
 matrix orthogonal, so the inverse is the transpose, and both directions run
-in O(n) with exactly 2n-2 multiplications and 2n-2 additions forward.
+in O(n) with exactly 2n-2 multiplications and 2n-2 additions each: the
+inverse is the forward's arithmetic transposed and read backwards.
 
 Spectral index 0 carries the mean component; indices 1..n-1 carry the
 (n-1)-dimensional standard block, which reacts to permutations of the input
@@ -18,7 +19,8 @@ bool, integer and float input is read as float64 and complex input as
 complex128; other dtypes (strings, bytes, objects, records) raise TypeError.
 That rule, _coerced, is the package's one vector coercion.  The counted
 transforms run the same forward kernel over counting.CountedArray operands,
-which observe its bill for one 1-D real vector.
+which observe its bill for one 1-D real vector; the private runner behind
+them, _counted, takes either kernel, so the tests bill the inverse too.
 """
 
 from __future__ import annotations
@@ -140,8 +142,11 @@ def _forward(arr: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 def _inverse(spectrum: np.ndarray, plan: TransformPlan) -> np.ndarray:
     b = plan.alpha * spectrum
-    out = 2.0 * b[..., :1] - np.add.accumulate(b, axis=-1)[..., ::-1]
-    out[..., 1:] += plan.coef * b[..., :0:-1]
+    out = np.empty_like(b)
+    np.subtract.accumulate(b, axis=-1, out=out[..., ::-1])
+    tail = b[..., :0:-1]  # b[n-j] at j - 1; b is this call's own, so scaled in place
+    np.multiply(plan.coef[1:], tail[..., 1:], out=tail[..., 1:])  # j = 1: coefficient 1, so no multiply
+    out[..., 1:] += tail
     return out
 
 
@@ -157,10 +162,12 @@ def transform(x: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
 
 
 def inverse_transform(X: np.ndarray, plan: TransformPlan | None = None) -> np.ndarray:
-    """Inverse in O(n) via the transpose: scale, one cumulative sum, reassemble.
+    """Inverse in O(n) via the transpose: scale, one running difference, reassemble.
 
-    With b = alpha * X and c = cumsum(b): out[i] = 2 b[0] - c[n-1-i] + i b[n-i],
-    the last term absent at i = 0.  Batched along the last axis as transform.
+    With b = alpha * X and t[k] = b[0] - b[1] - ... - b[k]:
+    out[i] = t[n-1-i] + i b[n-i], the last term absent at i = 0, which is
+    2n-2 multiplications and 2n-2 additions.  Batched along the last axis as
+    transform; X itself is never written.
     """
     return _inverse(*_as_vector(X, plan))
 
@@ -195,14 +202,19 @@ def spectral_shift(
     return out
 
 
-def _counted_forward(x: np.ndarray, plan: TransformPlan | None, wrap) -> tuple[np.ndarray, int, int]:
-    """_forward over wrap(values, tally) of x, alpha and coef, with the tally it billed."""
+def _counted(kernel, x: np.ndarray, plan: TransformPlan | None, wrap) -> tuple[np.ndarray, int, int]:
+    """kernel (_forward or _inverse) over wrap(values, tally) of x, alpha and coef, with the tally it billed."""
     arr, plan = _as_vector(_coerced(x, real=True), plan)
     if arr.ndim != 1:
         raise ValueError(f"counted transform takes one 1-D vector, got shape {arr.shape}")
     tally = [0, 0]
-    X = _forward(wrap(arr, tally), TransformPlan(plan.n, wrap(plan.alpha, tally), wrap(plan.coef, tally)))
+    X = kernel(wrap(arr, tally), TransformPlan(plan.n, wrap(plan.alpha, tally), wrap(plan.coef, tally)))
     return np.asarray(X, dtype=np.float64), tally[0], tally[1]
+
+
+def _scalars(values: np.ndarray, tally: list[int]) -> np.ndarray:
+    """values as an object array of 0-d CountedArrays, which bill scalar by scalar."""
+    return np.frompyfunc(lambda value: CountedArray(value, tally), 1, 1)(values)
 
 
 def transform_counted(
@@ -215,7 +227,7 @@ def transform_counted(
     one vector, so x must be 1-D and real: a batch raises ValueError, complex
     input TypeError.
     """
-    return _counted_forward(x, plan, CountedArray)
+    return _counted(_forward, x, plan, CountedArray)
 
 
 def transform_counted_scalarwise(
@@ -229,8 +241,4 @@ def transform_counted_scalarwise(
     >>> transform_counted_scalarwise([1.0, 2.0, 4.0])[1:]
     (4, 4)
     """
-
-    def scalars(values: np.ndarray, tally: list[int]) -> np.ndarray:
-        return np.frompyfunc(lambda value: CountedArray(value, tally), 1, 1)(values)
-
-    return _counted_forward(x, plan, scalars)
+    return _counted(_forward, x, plan, _scalars)

@@ -3,7 +3,11 @@ import pytest
 
 from permharmonic.counting import CountedArray
 from permharmonic.transform import (
+    _counted,
+    _inverse,
+    _scalars,
     build_plan,
+    inverse_transform,
     transform,
     transform_counted,
     transform_counted_scalarwise,
@@ -33,6 +37,7 @@ def test_wrapping_is_free_and_unbilled_arithmetic_raises():
         lambda: np.add(a, b, out=np.empty(())),
         lambda: np.multiply.accumulate(row),
         lambda: np.add.reduce(row),
+        lambda: np.subtract.reduce(row),
     )
     for op in unbilled:
         with pytest.raises(TypeError):
@@ -45,6 +50,11 @@ def test_accumulate_bills_n_minus_1_per_row():
     batch = CountedArray(np.ones((3, 7)), tally)
     assert np.array_equal(np.add.accumulate(batch, axis=-1)[:, -1], [7.0, 7.0, 7.0])
     assert tally == [0, 3 * 6]
+    # the same rule for subtract.accumulate, also into a reversed out= view
+    out = CountedArray(np.empty((3, 7)), tally)
+    np.subtract.accumulate(batch, axis=-1, out=out[:, ::-1])
+    assert np.array_equal(out[:, 0], [-5.0, -5.0, -5.0])
+    assert tally == [0, 2 * 3 * 6]
 
 
 def test_plain_numbers_are_rejected():
@@ -71,8 +81,12 @@ def test_counts_are_exactly_2n_minus_2():
         x = np.arange(1.0, n + 1.0)
         _, mult, add = transform_counted(x)
         assert (mult, add) == (2 * n - 2, 2 * n - 2)
+        _, mult, add = _counted(_inverse, x, None, CountedArray)
+        assert (mult, add) == (2 * n - 2, 2 * n - 2)
         if n <= 1024:
             _, mult, add = transform_counted_scalarwise(x)
+            assert (mult, add) == (2 * n - 2, 2 * n - 2)
+            _, mult, add = _counted(_inverse, x, None, _scalars)
             assert (mult, add) == (2 * n - 2, 2 * n - 2)
 
 
@@ -95,6 +109,24 @@ def test_counted_routes_agree_exactly():
         assert (mult_fast, add_fast) == (mult_slow, add_slow) == (2 * n - 2, 2 * n - 2)
         number = ~np.isnan(plain)
         for other in (fast, slow):
+            assert np.array_equal(other, plain, equal_nan=True)
+            assert np.array_equal(np.signbit(other[number]), np.signbit(plain[number]))
+
+
+def test_counted_inverse_agrees_with_inverse_transform_exactly():
+    # The inverse kernel billed both ways must reproduce inverse_transform bit
+    # for bit, signed zeros, infinities, NaN, subnormals and overflow included.
+    rng = np.random.default_rng(2)
+    hard = [rng.choice(HARD_VALUES, n) for n in (2, 3, 5, 8) for _ in range(10)]
+    for X in [rng.uniform(-5, 5, n) for n in (2, 3, 4, 9, 40)] + hard:
+        n = X.shape[0]
+        plan = build_plan(n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            plain = inverse_transform(X, plan)
+            runs = [_counted(_inverse, X, plan, wrap) for wrap in (CountedArray, _scalars)]
+        number = ~np.isnan(plain)
+        for other, mult, add in runs:
+            assert (mult, add) == (2 * n - 2, 2 * n - 2)
             assert np.array_equal(other, plain, equal_nan=True)
             assert np.array_equal(np.signbit(other[number]), np.signbit(plain[number]))
 

@@ -129,6 +129,24 @@ def test_round_trip_and_inverse_dense():
         assert np.max(np.abs(inverse_transform(spectrum, plan) - dense_inverse)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 1024])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_inverse_and_shift_leave_a_read_only_input_untouched(n, kind, batch):
+    # The inverse scales its own temporary in place; X must stay unwritten.
+    rng = np.random.default_rng([n, len(batch)])
+    X = rng.standard_normal(batch + (n,))
+    if kind == "complex":
+        X = X + 1j * rng.standard_normal(batch + (n,))
+    before = X.tobytes()
+    X.setflags(write=False)
+    reversal = Permutation(tuple(range(n, 0, -1)))
+    for out in (inverse_transform(X), spectral_shift(reversal, X), spectral_shift(random_permutation(n, rng), X)):
+        assert out.shape == X.shape and out.dtype == X.dtype
+        assert out.flags.c_contiguous and out.flags.writeable and not np.shares_memory(out, X)
+    assert X.tobytes() == before
+
+
 def test_inverse_special_points():
     for n in (2, 6, 31):
         plan = build_plan(n)

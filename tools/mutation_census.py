@@ -45,6 +45,7 @@ TAU1 = "            np.copyto(out[..., n - 2 :], -out[..., n - 2 :], where=mask[
 BOTTOM = "            np.copyto(bottom, s[q::2] * top + c[q::2] * bottom, where=swap)\n"
 TOP = "            np.copyto(top, new_top, where=swap)\n"
 ROW_N = "    rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply\n"
+INVERSE_TAIL = "    np.multiply(plan.coef[1:], tail[..., 1:], out=tail[..., 1:])  # j = 1: coefficient 1, so no multiply\n"
 CHECK = "    check_shift_n(n)\n"
 DEVIATION = "    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))\n"
 IRREP = "    return standard_irrep_transpose_apply(n, sigma, np.eye(n - 1))\n"
@@ -194,6 +195,22 @@ MUTANTS = {
         "verify_translation builds delta's Theta(n^2) word before checking the oracle cap",
         [(ORACLE, "    check_cap(n)  # before delta's Theta(n^2) word\n    word = delta.decompose_adjacent()\n",
           "    word = delta.decompose_adjacent()\n    check_cap(n)\n")],
+    ),
+    "subtract-accumulate-billed-n-per-row": (
+        "CountedArray bills subtract.accumulate n subtractions per row, not n - 1, and add.accumulate as before",
+        [(COUNTING, " if accumulate else 0", " if accumulate and ufunc is np.add else 0")],
+    ),
+    "inverse-j1-multiplied": (
+        "_inverse multiplies b[n-1] by its coefficient 1 too: equal values, a bill of 2n - 1",
+        [(TRANSFORM, INVERSE_TAIL, "    np.multiply(plan.coef, tail, out=tail)\n")],
+    ),
+    "inverse-accumulate-unreversed": (
+        "_inverse writes the running difference into out as it comes, not reversed",
+        [(TRANSFORM, "out=out[..., ::-1])", "out=out)")],
+    ),
+    "inverse-coef-one-off": (
+        "_inverse reads the contrast coefficients one place off, coef[:-1] for coef[1:]",
+        [(TRANSFORM, INVERSE_TAIL, INVERSE_TAIL.replace("plan.coef[1:]", "plan.coef[:-1]"))],
     ),
     "theorem-draws-without-plus-one": (
         "run_theorem draws 0-based image rows, rng.permutation(n) without + 1",
