@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _lex_permutations
 from typing import Iterator, Sequence
 
@@ -70,14 +71,21 @@ class Permutation:
     def __post_init__(self) -> None:
         images = tuple(map(operator.index, self.images))
         object.__setattr__(self, "images", images)
-        if len(images) < 1:
+        n = len(images)
+        if n < 1:
             raise ValueError("a permutation needs n >= 1")
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"images {images} are not a bijection on 1..{len(images)}")
+        # n distinct integers from 1 to n: O(n), with no sort
+        if min(images) != 1 or max(images) != n or len(set(images)) != n:
+            raise ValueError(f"images {images} are not a bijection on 1..{n}")
 
     @property
     def n(self) -> int:
         return len(self.images)
+
+    @cached_property
+    def _is_identity(self) -> bool:
+        """Whether sigma fixes every point: one pass on first use, then a stored bool, never an array."""
+        return all(map(operator.eq, self.images, range(1, self.n + 1)))
 
     def apply_to_vector(self, x: Sequence | np.ndarray) -> np.ndarray:
         """Permute coordinates: returns y with y(i) = x(sigma(i)).
@@ -136,7 +144,9 @@ def _image_index(sigma: Permutation | np.ndarray, n: int) -> np.ndarray:
     if isinstance(sigma, Permutation):
         if sigma.n != n:
             raise _degree_error(sigma, n)
-        return np.array(sigma.images, dtype=np.intp) - 1
+        index = np.fromiter(sigma.images, np.intp, n)
+        index -= 1
+        return index
     images = np.asarray(sigma)
     if images.dtype.kind not in "iu":
         raise TypeError(f"permutation images must be integers, got dtype {images.dtype}")
@@ -174,7 +184,7 @@ def from_one_line(text: str) -> Permutation:
     if not parts:
         raise ValueError("empty permutation string")
     try:
-        images = tuple(int(p) for p in parts)
+        images = tuple(map(int, parts))
     except ValueError as exc:
         raise ValueError(f"cannot parse permutation from {text!r}") from exc
     return Permutation(images)
@@ -190,4 +200,7 @@ def enumerate_group(n: int) -> Iterator[Permutation]:
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+    if n < 1:
+        raise ValueError("a permutation needs n >= 1")
+    # numpy's permutation of 0..n-1 is a bijection already: no second check
+    return Permutation._trusted(tuple((rng.permutation(n) + 1).tolist()))

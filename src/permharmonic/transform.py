@@ -11,6 +11,8 @@ Spectral index 0 carries the mean component; indices 1..n-1 carry the
 (n-1)-dimensional standard block, which reacts to permutations of the input
 through the orthogonal matrices D(sigma) of yor.py, the shift rule's
 reference; spectral_shift applies them in O(n) as inverse, gather, forward.
+A Permutation adds one conversion of its images to a gather index and
+nothing else n-sized; image rows add a per-row identity mask and broadcasting.
 
 Every public call works along the last axis: a 1-D vector is the batch of
 shape (), and a (..., n) array is transformed row by row, each row bitwise
@@ -31,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .counting import CountedArray
-from .permutations import Permutation, _image_index
+from .permutations import Permutation, _degree_error, _image_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,17 +184,30 @@ def spectral_shift(
     copied from X, and the identity returns an exact copy.  sigma is a
     Permutation or a (..., n) integer array of 1-based image rows, gathered
     row by row; its leading axes broadcast against those of X.
+
+    A Permutation costs those three O(n) steps and one conversion of its
+    images to an index; its identity test, made after the degree check, is
+    a bool stored on sigma.  Image rows add an O(n) identity mask per row;
+    X is inverted before it is broadcast, once per row of X.
     """
     spectrum, plan = _as_vector(X, plan)
+    if isinstance(sigma, Permutation):
+        if sigma.n != plan.n:
+            raise _degree_error(sigma, plan.n)
+        if sigma._is_identity:
+            return spectrum.copy()
+        out = _forward(_inverse(spectrum, plan).take(_image_index(sigma, plan.n), axis=-1), plan)
+        out[..., 0] = spectrum[..., 0]
+        return out
     index = _image_index(sigma, plan.n)
     moved = (index != plan.positions).any(axis=-1)
     count = np.count_nonzero(moved)
-    if index.ndim > 1:
-        spectrum = np.broadcast_to(spectrum, np.broadcast_shapes(index.shape, spectrum.shape))
-        index = index[(np.newaxis,) * (spectrum.ndim - index.ndim)]
+    shape = np.broadcast_shapes(index.shape, spectrum.shape)
     if count == 0:
-        return spectrum.copy()
-    x = _inverse(spectrum, plan)
+        return np.broadcast_to(spectrum, shape).copy()
+    x = np.broadcast_to(_inverse(spectrum, plan), shape)  # inverted before the broadcast: once per row of X
+    if index.ndim > 1:
+        index = index[(np.newaxis,) * (len(shape) - index.ndim)]
     # One image row gathers every vector alike; take skips take_along_axis' call overhead.
     gathered = x.take(index, axis=-1) if index.ndim == 1 else np.take_along_axis(x, index, axis=-1)
     out = _forward(gathered, plan)

@@ -33,6 +33,10 @@ def test_validation_rejects_non_bijections():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation(())
+    # distinct images that fail only the lower or only the upper end, and ones past any fixed width
+    for images in [(0, 2, 3), (-1, 2, 3), (1, 2, 4), (1, 2, 2**70), (-(2**70), 2, 3), (2, 1, 1)]:
+        with pytest.raises(ValueError, match=r"are not a bijection on 1\.\.3"):
+            Permutation(images)
 
 
 def test_validation_rejects_non_integral_images():
@@ -143,6 +147,16 @@ def test_decompose_adjacent_round_trip_random():
         assert word_product(n, sigma.decompose_adjacent()) == sigma
 
 
+def test_random_permutation_is_numpys_draw_plus_one():
+    for n in (1, 2, 7, 1000):
+        sigma = random_permutation(n, np.random.default_rng([n, 3]))
+        assert sigma.images == tuple(int(v) + 1 for v in np.random.default_rng([n, 3]).permutation(n))
+        assert all(type(v) is int for v in sigma.images) and Permutation(sigma.images) == sigma
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="a permutation needs n >= 1"):
+            random_permutation(n, np.random.default_rng(0))
+
+
 def test_enumerate_group_sizes_and_order():
     assert [p.images for p in enumerate_group(1)] == [(1,)]
     threes = list(enumerate_group(3))
@@ -181,7 +195,7 @@ def test_from_one_line_and_text_round_trip():
     assert repr(Permutation((2, 1, 3))) == "Permutation((2, 1, 3))"
     with pytest.raises(ValueError):
         from_one_line("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cannot parse permutation from '1 2 x'"):
         from_one_line("1 2 x")
     with pytest.raises(ValueError):
         from_one_line("1 3")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -335,6 +336,71 @@ def test_identity_rows_are_exact_copies():
     out[...] = 0.0
     assert np.all(spectra != 0.0)
     assert spectral_shift(identity(5), spectra[0, 0]).tobytes() == spectra[0, 0].tobytes()
+
+
+def test_identity_permutation_of_the_wrong_degree_is_refused():
+    # The identity shortcut must come after the degree check.
+    for m, n in ((3, 4), (5, 4), (1, 2)):
+        with pytest.raises(ValueError, match=f"permutation has degree {m}, expected {n}"):
+            spectral_shift(identity(m), np.zeros(n))
+        with pytest.raises(ValueError, match=f"permutation has degree {m}, expected {n}"):
+            spectral_shift(identity(m), np.zeros((3, n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_identity_permutation_on_a_batch_returns_a_fresh_copy(n):
+    rng = np.random.default_rng(n)
+    spectra = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    spectra.flat[::4] = -0.0
+    before = spectra.tobytes()
+    spectra.setflags(write=False)
+    sigma = identity(n)
+    out = spectral_shift(sigma, spectra)
+    assert out.shape == spectra.shape and out.dtype == spectra.dtype and out.tobytes() == before
+    assert out.flags.writeable and not np.shares_memory(out, spectra)
+    out[...] = 0.0
+    assert spectra.tobytes() == before
+    # the stored identity test is no field: equality, hash and repr are the images' alone
+    assert sigma == identity(n) and hash(sigma) == hash(identity(n)) and repr(sigma) == repr(identity(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_permutation_path_equals_the_one_row_image_path_bitwise(n, kind, batch):
+    rng = np.random.default_rng([n, len(batch), kind == "complex"])
+    X = rng.standard_normal(batch + (n,))
+    if kind == "complex":
+        X = X + 1j * rng.standard_normal(batch + (n,))
+    X.flat[::7] = -0.0
+    plan = build_plan(n)
+    for sigma in (random_permutation(n, rng), reversal(n), adjacent_transposition(n, n - 1), identity(n)):
+        row = np.array(sigma.images)
+        assert_bitwise(spectral_shift(sigma, X, plan), spectral_shift(row, X, plan))
+        assert_bitwise(spectral_shift(sigma, X), spectral_shift(np.broadcast_to(row, X.shape), X))
+
+
+@pytest.mark.parametrize("n", [2, 3, 1024])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_image_rows_against_one_spectrum_invert_it_once(n, kind, monkeypatch):
+    transform_module = sys.modules[spectral_shift.__module__]  # the package exports a transform function
+    rng = np.random.default_rng([n, 5])
+    X = rng.standard_normal(n)
+    if kind == "complex":
+        X = X + 1j * rng.standard_normal(n)
+    rows = np.array([rng.permutation(n) + 1 for _ in range(7)])
+    rows[3] = np.arange(1, n + 1)  # one identity row
+    expected = np.array([spectral_shift(row, X) for row in rows])
+    inverted = []
+    kernel = transform_module._inverse
+
+    def counted_inverse(spectrum, plan):
+        inverted.append(spectrum.shape)
+        return kernel(spectrum, plan)
+
+    monkeypatch.setattr(transform_module, "_inverse", counted_inverse)
+    assert_bitwise(spectral_shift(rows, X), expected)
+    assert inverted == [(n,)]  # one call on the one spectrum, not one row per image row
 
 
 def test_shift_rejects_invalid_image_rows():

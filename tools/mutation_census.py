@@ -49,6 +49,8 @@ INVERSE_TAIL = "    np.multiply(plan.coef[1:], tail[..., 1:], out=tail[..., 1:])
 CHECK = "    check_shift_n(n)\n"
 DEVIATION = "    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))\n"
 IRREP = "    return standard_irrep_transpose_apply(n, sigma, np.eye(n - 1))\n"
+DEGREE = "        if sigma.n != plan.n:\n            raise _degree_error(sigma, plan.n)\n"
+IDENTITY = "        if sigma._is_identity:\n            return spectrum.copy()\n"
 WORD = "    for k in word:  # D(delta)^t: the word's symmetric generators, first letter first\n"
 
 # name: (what the mutant breaks, [(file, old, new), ...])
@@ -211,6 +213,31 @@ MUTANTS = {
     "inverse-coef-one-off": (
         "_inverse reads the contrast coefficients one place off, coef[:-1] for coef[1:]",
         [(TRANSFORM, INVERSE_TAIL, INVERSE_TAIL.replace("plan.coef[1:]", "plan.coef[:-1]"))],
+    ),
+    "identity-shortcut-before-degree-check": (
+        "spectral_shift returns a Permutation identity's copy before checking its degree",
+        [(TRANSFORM, DEGREE + IDENTITY, IDENTITY + DEGREE)],
+    ),
+    "image-index-not-decremented": (
+        "_image_index converts a Permutation's images to a gather index without subtracting 1",
+        [(PERMUTATIONS, "        index -= 1\n", "")],
+    ),
+    "validation-drops-min": (
+        "Permutation accepts n distinct images with max n whatever their minimum",
+        [(PERMUTATIONS, "if min(images) != 1 or max(images)", "if max(images)")],
+    ),
+    "validation-drops-max": (
+        "Permutation accepts n distinct images with min 1 whatever their maximum",
+        [(PERMUTATIONS, "min(images) != 1 or max(images) != n or ", "min(images) != 1 or ")],
+    ),
+    "random-permutation-accepts-n0": (
+        "random_permutation trusts numpy's draw even when it is empty, so n = 0 gives a permutation of nothing",
+        [(PERMUTATIONS, "    if n < 1:\n        raise ValueError(\"a permutation needs n >= 1\")\n    # numpy's", "    # numpy's")],
+    ),
+    "inverse-after-broadcast": (
+        "spectral_shift broadcasts X against the image rows before inverting it, one inverse per row "
+        "(equal values; caught by counting what _inverse is given)",
+        [(TRANSFORM, "x = np.broadcast_to(_inverse(spectrum, plan), shape)", "x = _inverse(np.broadcast_to(spectrum, shape), plan)")],
     ),
     "theorem-draws-without-plus-one": (
         "run_theorem draws 0-based image rows, rng.permutation(n) without + 1",
