@@ -392,7 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        code = args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # _require_finite and _to_json refuse overflow
+            code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here at the latest
         return code
     except (CliError, ValueError) as exc:

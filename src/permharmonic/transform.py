@@ -12,7 +12,8 @@ Spectral index 0 carries the mean component; indices 1..n-1 carry the
 through the orthogonal matrices D(sigma) of yor.py, the shift rule's
 reference; spectral_shift applies them in O(n) as inverse, gather, forward.
 A Permutation adds one conversion of its images to a gather index and
-nothing else n-sized; image rows add a per-row identity mask and broadcasting.
+nothing else n-sized; image rows add one broadcast gather and a per-row
+identity mask.  The kernels take a plan's alpha and coef, never the plan.
 
 Every public call works along the last axis: a 1-D vector is the batch of
 shape (), and a (..., n) array is transformed row by row, each row bitwise
@@ -27,8 +28,8 @@ them, _counted, takes either kernel, so the tests bill the inverse too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,35 +39,33 @@ from .permutations import Permutation, _degree_error, _image_index
 
 @dataclass(frozen=True, eq=False)
 class TransformPlan:
-    """Precomputed row scalings and contrast coefficients for one vector length.
+    """Row scalings and contrast coefficients for one vector length, derived from n alone.
 
     alpha[0] = 1/sqrt(n); alpha[k-1] = 1/sqrt((n-k+1)(n-k+2)) for k >= 2.
     coef holds the integer contrast coefficients 1, ..., n-1 as floats.
-    Both arrays are read-only; plans are cheap and reusable across calls.
+    TransformPlan(n) builds both, read-only, so a plan always agrees with n.
     """
 
     n: int
-    alpha: np.ndarray
-    coef: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    coef: np.ndarray = field(init=False)
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """0, ..., n-1, read-only: the identity's gather index, built on first use."""
-        positions = np.arange(self.n)
-        positions.setflags(write=False)
-        return positions
+    def __post_init__(self) -> None:
+        n = operator.index(self.n)
+        if n < 2:
+            raise ValueError(f"need a vector of length >= 2, got {n}")
+        k = np.arange(1, n + 1)
+        alpha = 1.0 / np.sqrt((n - k + 1.0) * (n - k + 2.0))
+        alpha[0] = 1.0 / np.sqrt(n)
+        coef = np.arange(1.0, n)
+        alpha.setflags(write=False)
+        coef.setflags(write=False)
+        for name, value in (("n", n), ("alpha", alpha), ("coef", coef)):
+            object.__setattr__(self, name, value)
 
 
 def build_plan(n: int) -> TransformPlan:
-    if n < 2:
-        raise ValueError(f"need a vector of length >= 2, got {n}")
-    k = np.arange(1, n + 1)
-    alpha = 1.0 / np.sqrt((n - k + 1.0) * (n - k + 2.0))
-    alpha[0] = 1.0 / np.sqrt(n)
-    coef = np.arange(1.0, n)
-    alpha.setflags(write=False)
-    coef.setflags(write=False)
-    return TransformPlan(n=n, alpha=alpha, coef=coef)
+    return TransformPlan(n)
 
 
 DENSE_MAX_N = 4096  # largest n of the dense references: 128 MiB of float64
@@ -118,8 +117,8 @@ def _coerced(x: np.ndarray, real: bool = False) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, TransformPlan]:
-    """_coerced(x) as vectors along its last axis, shape (..., n), with a plan for n."""
+def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_coerced(x) as vectors along its last axis, shape (..., n), with alpha and coef for n."""
     arr = _coerced(x)
     if arr.ndim == 0:
         raise ValueError("expected vectors along a last axis, got a 0-d input")
@@ -127,27 +126,27 @@ def _as_vector(x: np.ndarray, plan: TransformPlan | None) -> tuple[np.ndarray, T
         plan = build_plan(arr.shape[-1])
     elif plan.n != arr.shape[-1]:
         raise ValueError(f"plan is for n={plan.n}, vector has length {arr.shape[-1]}")
-    return arr, plan
+    return arr, plan.alpha, plan.coef
 
 
-def _forward(arr: np.ndarray, plan: TransformPlan) -> np.ndarray:
+def _forward(arr: np.ndarray, alpha: np.ndarray, coef: np.ndarray) -> np.ndarray:
     s = np.add.accumulate(arr, axis=-1)
     out = np.empty_like(arr)
     out[..., 0] = s[..., -1]
     rows = out[..., :0:-1]
     rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply
-    np.multiply(plan.coef[1:], arr[..., 2:], out=rows[..., 1:])
+    np.multiply(coef[1:], arr[..., 2:], out=rows[..., 1:])
     rows -= s[..., :-1]
-    out *= plan.alpha
+    out *= alpha
     return out
 
 
-def _inverse(spectrum: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    b = plan.alpha * spectrum
+def _inverse(spectrum: np.ndarray, alpha: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    b = alpha * spectrum
     out = np.empty_like(b)
     np.subtract.accumulate(b, axis=-1, out=out[..., ::-1])
     tail = b[..., :0:-1]  # b[n-j] at j - 1; b is this call's own, so scaled in place
-    np.multiply(plan.coef[1:], tail[..., 1:], out=tail[..., 1:])  # j = 1: coefficient 1, so no multiply
+    np.multiply(coef[1:], tail[..., 1:], out=tail[..., 1:])  # j = 1: coefficient 1, so no multiply
     out[..., 1:] += tail
     return out
 
@@ -187,43 +186,35 @@ def spectral_shift(
 
     A Permutation costs those three O(n) steps and one conversion of its
     images to an index; its identity test, made after the degree check, is
-    a bool stored on sigma.  Image rows add an O(n) identity mask per row;
-    X is inverted before it is broadcast, once per row of X.
+    a bool stored on sigma.  Image rows add an identity mask per row, those
+    rows copied from X; X is inverted before the broadcast, once per row of X.
     """
-    spectrum, plan = _as_vector(X, plan)
+    spectrum, alpha, coef = _as_vector(X, plan)
+    n = spectrum.shape[-1]
     if isinstance(sigma, Permutation):
-        if sigma.n != plan.n:
-            raise _degree_error(sigma, plan.n)
+        if sigma.n != n:
+            raise _degree_error(sigma, n)
         if sigma._is_identity:
             return spectrum.copy()
-        out = _forward(_inverse(spectrum, plan).take(_image_index(sigma, plan.n), axis=-1), plan)
+        out = _forward(_inverse(spectrum, alpha, coef).take(_image_index(sigma, n), axis=-1), alpha, coef)
         out[..., 0] = spectrum[..., 0]
         return out
-    index = _image_index(sigma, plan.n)
-    moved = (index != plan.positions).any(axis=-1)
-    count = np.count_nonzero(moved)
+    index = _image_index(sigma, n)
     shape = np.broadcast_shapes(index.shape, spectrum.shape)
-    if count == 0:
-        return np.broadcast_to(spectrum, shape).copy()
-    x = np.broadcast_to(_inverse(spectrum, plan), shape)  # inverted before the broadcast: once per row of X
-    if index.ndim > 1:
-        index = index[(np.newaxis,) * (len(shape) - index.ndim)]
-    # One image row gathers every vector alike; take skips take_along_axis' call overhead.
-    gathered = x.take(index, axis=-1) if index.ndim == 1 else np.take_along_axis(x, index, axis=-1)
-    out = _forward(gathered, plan)
+    x = np.broadcast_to(_inverse(spectrum, alpha, coef), shape)  # inverted before the broadcast: once per row of X
+    out = _forward(np.take_along_axis(x, np.broadcast_to(index, shape), axis=-1), alpha, coef)
     out[..., 0] = spectrum[..., 0]
-    if count < moved.size:
-        np.copyto(out, spectrum, where=~moved[..., np.newaxis])
+    np.copyto(out, spectrum, where=(index == np.arange(n)).all(-1, keepdims=True))
     return out
 
 
 def _counted(kernel, x: np.ndarray, plan: TransformPlan | None, wrap) -> tuple[np.ndarray, int, int]:
     """kernel (_forward or _inverse) over wrap(values, tally) of x, alpha and coef, with the tally it billed."""
-    arr, plan = _as_vector(_coerced(x, real=True), plan)
+    arr, alpha, coef = _as_vector(_coerced(x, real=True), plan)
     if arr.ndim != 1:
         raise ValueError(f"counted transform takes one 1-D vector, got shape {arr.shape}")
     tally = [0, 0]
-    X = kernel(wrap(arr, tally), TransformPlan(plan.n, wrap(plan.alpha, tally), wrap(plan.coef, tally)))
+    X = kernel(wrap(arr, tally), wrap(alpha, tally), wrap(coef, tally))
     return np.asarray(X, dtype=np.float64), tally[0], tally[1]
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() directly: formats, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -8,10 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permharmonic import cli, verify
 from permharmonic.cli import main
@@ -130,19 +135,23 @@ def test_transform_rejects_non_finite_input(capsys, monkeypatch):
         assert "non-finite value 'inf' at index 1" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowed_output_is_refused_in_every_format(capsys, monkeypatch):
-    # finite input whose total overflows: no bare inf may reach any output
+    # finite input whose total overflows: no bare inf may reach any output, and
+    # numpy's overflow warnings stay quiet (warnings are errors under pytest)
     with pytest.raises(ValueError):
         cli._to_json({"output": [math.inf]})
-    for argv in (["transform"], ["shift", "--perm", "2 1"]):
+    cases = [
+        (["transform"], "1e308 1e308"),
+        (["transform", "--counted"], "1e308 1e308"),
+        (["shift", "--perm", "2 1"], "1e308 1e308"),
+        (["transform"], "1e308 1e308 -1e308 1e308"),
+        (["shift", "--perm", "2 1 4 3"], "1e308 1e308 -1e308 1e308"),
+    ]
+    for argv, stdin in cases:
         for fmt in ("text", "csv", "json"):
-            code, out, err = run_cli(
-                argv + ["--format", fmt], capsys, monkeypatch, stdin="1e308 1e308"
-            )
+            code, out, err = run_cli(argv + ["--format", fmt], capsys, monkeypatch, stdin=stdin)
             assert code == 2 and out == ""
-            assert "non-finite value inf at index 0" in err
+            assert err == "error: result overflows: non-finite value inf at index 0\n"
 
 
 def test_shift_matches_library(capsys, monkeypatch):
@@ -566,3 +575,84 @@ def test_vector_parse_error_texts(capsys, monkeypatch):
     for stdin, message in cases:
         code, out, err = run_cli(["transform"], capsys, monkeypatch, stdin=stdin)
         assert (code, out, err) == (2, "", message), stdin
+
+
+# Tokens a vector or permutation file may hold: any double's repr (nan, inf,
+# subnormals, 1e308), integers past any float's precision, and odd spellings.
+_ODD_TOKENS = ["1e308", "-1e308", "5e-324", "1e999", "-inf", "Infinity", "nan", "0x10", "1_000", "\u0663", "+.5", "-0", "abc", ","]
+_tokens = st.floats(width=64).map(repr) | st.integers(-(10**30), 10**30).map(str) | st.sampled_from(_ODD_TOKENS)
+_formats = st.none() | st.sampled_from(["text", "csv", "json"])
+_counts = st.integers(-3, 12).map(str) | st.sampled_from(["x", "1e3", ""])
+_INPUT = "<input file>"
+
+
+def _argv(command, flags):
+    """[command, *flags]: a True flag is bare, a None or False flag is left out, any other value follows it.
+
+    transform and shift read the input file as their one positional argument.
+    """
+    argv = [command, _INPUT] if command in ("transform", "shift") else [command]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv += [flag, value]
+    return argv
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, the input file's text): each command with its options, or a jumble of arguments.
+
+    Half the files hold n finite numbers and half any tokens; half the
+    permutations are of 1..n and half any tokens, so most calls get past parsing.
+    """
+    n = draw(st.integers(1, 9))
+    finite = st.floats(-1e6, 1e6).map(repr)
+    tokens = draw(st.lists(finite, min_size=n, max_size=n) | st.lists(_tokens, max_size=10))
+    text = draw(st.sampled_from([" ", ",", "\n"])).join(tokens)
+    perm = draw(st.permutations(range(1, n + 1)).map(lambda p: " ".join(map(str, p))) | st.lists(_tokens, min_size=1, max_size=6).map(" ".join))
+    command = draw(st.sampled_from(["transform", "shift", "verify", "oracle", "bench", None]))
+    flags = {
+        "transform": {"inverse": st.booleans(), "counted": st.booleans(), "format": _formats},
+        "shift": {"perm": st.just(perm), "check": st.booleans(), "format": _formats},
+        "verify": {"suite": st.sampled_from([*verify.SUITES, "all", "bogus"]), "n": _counts, "seed": st.none() | _counts,
+                   "format": st.none() | st.sampled_from(["text", "json"])},
+        "oracle": {"n": st.none() | _counts, "input": st.none() | st.just(_INPUT), "seed": st.none() | _counts,
+                   "format": st.none() | st.sampled_from(["text", "json"])},
+        "bench": {"n_list": st.none() | st.lists(st.sampled_from(["2", "8", "33", "0", "-3", "x", "5000"]), max_size=3).map(",".join),
+                  "reps": st.none() | st.sampled_from(["-1", "0", "1", "2"]), "format": _formats},
+    }.get(command)
+    if flags is None:
+        return draw(st.lists(st.sampled_from(["transform", "oracle", "--format", "json", "--n", "3", "--bogus"]), max_size=4)), text
+    if command == "oracle" and draw(st.booleans()):  # one source, as the command asks
+        flags["n" if draw(st.booleans()) else "input"] = st.none()
+    chosen = draw(st.fixed_dictionaries(flags))
+    return _argv(command, {"--" + k.replace("_", "-"): v for k, v in chosen.items()}), text
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cli_calls())
+def test_cli_exits_0_1_or_2_and_its_json_parses_strictly(call):
+    argv, text = call
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp, "x.txt")
+        source.write_text(text, encoding="utf-8")
+        argv = [str(source) if arg == _INPUT else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        stdin = mock.patch.object(sys, "stdin", io.StringIO(text))  # a call without a file reads stdin
+        with stdin, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+            try:
+                fmt = cli.build_parser().parse_args(argv).format
+            except SystemExit:
+                fmt = None
+    assert code in (0, 1, 2), (argv, text, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == "", (argv, text)
+    if fmt == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -57,6 +57,16 @@ def test_accumulate_bills_n_minus_1_per_row():
     assert tally == [0, 2 * 3 * 6]
 
 
+def test_accumulate_without_axis_bills_along_the_first_axis():
+    # numpy's default axis is 0: (rows - 1) * cols additions for a 2-D operand
+    tally = [0, 0]
+    batch = CountedArray(np.ones((4, 5)), tally)
+    assert np.array_equal(np.add.accumulate(batch)[-1], [4.0] * 5)
+    assert tally == [0, 3 * 5]
+    np.subtract.accumulate(batch)
+    assert tally == [0, 2 * 3 * 5]
+
+
 def test_plain_numbers_are_rejected():
     a = CountedArray(1.0, [0, 0])
     for op in (lambda: a + 1.0, lambda: a - 1, lambda: a * 2.0, lambda: a / 2.0):

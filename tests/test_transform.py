@@ -17,6 +17,7 @@ from permharmonic.permutations import (
 )
 from permharmonic.transform import (
     DENSE_MAX_N,
+    TransformPlan,
     build_plan,
     contrast_matrix,
     dense_transform,
@@ -64,6 +65,25 @@ def test_plan_alpha_read_only():
     plan = build_plan(5)
     with pytest.raises(ValueError):
         plan.alpha[0] = 0.0
+
+
+def test_plan_is_derived_from_n_alone():
+    plan = build_plan(5)
+    assert np.array_equal(plan.coef, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError):
+        plan.coef[0] = 0.0
+    # arrays that disagree with n cannot be passed in
+    with pytest.raises(TypeError):
+        TransformPlan(4, np.ones(4), np.arange(1.0, 4))
+    with pytest.raises(TypeError):
+        TransformPlan(4.0)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=rf"^need a vector of length >= 2, got {n}$"):
+            TransformPlan(n)
+    plan = TransformPlan(np.int64(6))
+    assert type(plan.n) is int and plan.n == 6
+    assert plan.alpha.tobytes() == build_plan(6).alpha.tobytes()
+    assert plan.coef.tobytes() == build_plan(6).coef.tobytes()
 
 
 def test_contrast_matrix_small():
@@ -325,6 +345,11 @@ def test_batched_shift_matches_the_word_product_row_by_row():
         assert crossed.shape == (6, 4, n)
         for i, j in np.ndindex(6, 4):
             assert_bitwise(crossed[i, j], spectral_shift(Permutation(tuple(images[i])), spectra[j]))
+        # and (4, n) rows against (6, 1, n) spectra: X has more leading axes than the rows
+        crossed = spectral_shift(images[:4], spectra[:, np.newaxis])
+        assert crossed.shape == (6, 4, n)
+        for i, j in np.ndindex(6, 4):
+            assert_bitwise(crossed[i, j], spectral_shift(images[j], spectra[i]))
 
 
 def test_identity_rows_are_exact_copies():
@@ -394,9 +419,9 @@ def test_image_rows_against_one_spectrum_invert_it_once(n, kind, monkeypatch):
     inverted = []
     kernel = transform_module._inverse
 
-    def counted_inverse(spectrum, plan):
+    def counted_inverse(spectrum, *arrays):
         inverted.append(spectrum.shape)
-        return kernel(spectrum, plan)
+        return kernel(spectrum, *arrays)
 
     monkeypatch.setattr(transform_module, "_inverse", counted_inverse)
     assert_bitwise(spectral_shift(rows, X), expected)

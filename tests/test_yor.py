@@ -231,15 +231,19 @@ def test_transpose_apply_longest_word():
 
 
 def test_dimension_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^permutation has degree 3, expected 4$"):
         standard_irrep(4, Permutation((1, 2, 3)))
+    with pytest.raises(ValueError, match=r"^permutation has degree 3, expected 4$"):
+        standard_irrep(4, Permutation((2, 3, 1)))
     with pytest.raises(ValueError, match="n >= 2"):
         standard_irrep(1, Permutation((1,)))
     # image rows would pair each identity row with its own permutation
     with pytest.raises(TypeError):
         standard_irrep(3, np.array([[2, 1, 3], [1, 3, 2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected vectors of length 3, got shape \(4,\)$"):
         standard_irrep_transpose_apply(4, Permutation((1, 2, 3, 4)), np.zeros(4))
+    with pytest.raises(ValueError, match=r"^expected vectors of length 3, got shape \(\)$"):
+        standard_irrep_transpose_apply(4, Permutation((1, 2, 3, 4)), np.float64(1.0))
 
 
 def test_verify_coxeter_range():

@@ -45,11 +45,11 @@ TAU1 = "            np.copyto(out[..., n - 2 :], -out[..., n - 2 :], where=mask[
 BOTTOM = "            np.copyto(bottom, s[q::2] * top + c[q::2] * bottom, where=swap)\n"
 TOP = "            np.copyto(top, new_top, where=swap)\n"
 ROW_N = "    rows[..., 0] = arr[..., 1]  # row n: coefficient 1, so no multiply\n"
-INVERSE_TAIL = "    np.multiply(plan.coef[1:], tail[..., 1:], out=tail[..., 1:])  # j = 1: coefficient 1, so no multiply\n"
+INVERSE_TAIL = "    np.multiply(coef[1:], tail[..., 1:], out=tail[..., 1:])  # j = 1: coefficient 1, so no multiply\n"
 CHECK = "    check_shift_n(n)\n"
 DEVIATION = "    deviation = float(np.max(np.abs(shifted - reference), initial=0.0))\n"
 IRREP = "    return standard_irrep_transpose_apply(n, sigma, np.eye(n - 1))\n"
-DEGREE = "        if sigma.n != plan.n:\n            raise _degree_error(sigma, plan.n)\n"
+DEGREE = "        if sigma.n != n:\n            raise _degree_error(sigma, n)\n"
 IDENTITY = "        if sigma._is_identity:\n            return spectrum.copy()\n"
 WORD = "    for k in word:  # D(delta)^t: the word's symmetric generators, first letter first\n"
 
@@ -91,7 +91,7 @@ MUTANTS = {
     ),
     "extra-exact-multiply": (
         "_forward multiplies every row once more, by an exact 1.0",
-        [(TRANSFORM, "    out *= plan.alpha\n", "    out *= plan.alpha\n    out *= np.ones_like(plan.alpha)\n")],
+        [(TRANSFORM, "    out *= alpha\n", "    out *= alpha\n    out *= np.ones_like(alpha)\n")],
     ),
     "row-n-times-one": (
         "_forward multiplies row n by 1.0",
@@ -103,11 +103,11 @@ MUTANTS = {
     ),
     "row-n-as-coef0-product": (
         "_forward computes row n as coef[0] * x[1]",
-        [(TRANSFORM, ROW_N, "    rows[..., 0] = plan.coef[0] * arr[..., 1]\n")],
+        [(TRANSFORM, ROW_N, "    rows[..., 0] = coef[0] * arr[..., 1]\n")],
     ),
     "plan-row-1e-13": (
-        "build_plan scales one row, alpha[n // 2], by a relative 1e-13",
-        [(TRANSFORM, "    alpha[0] = 1.0 / np.sqrt(n)\n", "    alpha[0] = 1.0 / np.sqrt(n)\n    alpha[n // 2] *= 1.0 + 1e-13\n")],
+        "TransformPlan scales one row, alpha[n // 2], by a relative 1e-13",
+        [(TRANSFORM, "        alpha[0] = 1.0 / np.sqrt(n)\n", "        alpha[0] = 1.0 / np.sqrt(n)\n        alpha[n // 2] *= 1.0 + 1e-13\n")],
     ),
     "block-s-sign-flipped": (
         "the one definition of the Young block gives -s_k",
@@ -204,7 +204,7 @@ MUTANTS = {
     ),
     "inverse-j1-multiplied": (
         "_inverse multiplies b[n-1] by its coefficient 1 too: equal values, a bill of 2n - 1",
-        [(TRANSFORM, INVERSE_TAIL, "    np.multiply(plan.coef, tail, out=tail)\n")],
+        [(TRANSFORM, INVERSE_TAIL, "    np.multiply(coef, tail, out=tail)\n")],
     ),
     "inverse-accumulate-unreversed": (
         "_inverse writes the running difference into out as it comes, not reversed",
@@ -212,7 +212,7 @@ MUTANTS = {
     ),
     "inverse-coef-one-off": (
         "_inverse reads the contrast coefficients one place off, coef[:-1] for coef[1:]",
-        [(TRANSFORM, INVERSE_TAIL, INVERSE_TAIL.replace("plan.coef[1:]", "plan.coef[:-1]"))],
+        [(TRANSFORM, INVERSE_TAIL, INVERSE_TAIL.replace("coef[1:]", "coef[:-1]"))],
     ),
     "identity-shortcut-before-degree-check": (
         "spectral_shift returns a Permutation identity's copy before checking its degree",
@@ -237,7 +237,28 @@ MUTANTS = {
     "inverse-after-broadcast": (
         "spectral_shift broadcasts X against the image rows before inverting it, one inverse per row "
         "(equal values; caught by counting what _inverse is given)",
-        [(TRANSFORM, "x = np.broadcast_to(_inverse(spectrum, plan), shape)", "x = _inverse(np.broadcast_to(spectrum, shape), plan)")],
+        [(TRANSFORM, "x = np.broadcast_to(_inverse(spectrum, alpha, coef), shape)",
+          "x = _inverse(np.broadcast_to(spectrum, shape), alpha, coef)")],
+    ),
+    "plan-alpha-writable": (
+        "TransformPlan leaves alpha writable, so a caller can change every later transform",
+        [(TRANSFORM, "        alpha.setflags(write=False)\n", "")],
+    ),
+    "plan-coef-writable": (
+        "TransformPlan leaves coef writable, so a caller can change every later transform",
+        [(TRANSFORM, "        coef.setflags(write=False)\n", "")],
+    ),
+    "plan-n-not-an-index": (
+        "TransformPlan takes n as given, so a float n builds float-length arrays and a numpy n stays numpy",
+        [(TRANSFORM, "        n = operator.index(self.n)\n", "        n = self.n\n")],
+    ),
+    "identity-row-copyto-dropped": (
+        "spectral_shift's image-row path returns identity rows through the round trip, not copied from X",
+        [(TRANSFORM, "    np.copyto(out, spectrum, where=(index == np.arange(n)).all(-1, keepdims=True))\n", "")],
+    ),
+    "image-rows-gather-unbroadcast": (
+        "spectral_shift gathers with the raw image rows, not the rows broadcast to the output shape",
+        [(TRANSFORM, "np.take_along_axis(x, np.broadcast_to(index, shape), axis=-1)", "np.take_along_axis(x, index, axis=-1)")],
     ),
     "theorem-draws-without-plus-one": (
         "run_theorem draws 0-based image rows, rng.permutation(n) without + 1",
